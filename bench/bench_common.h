@@ -50,8 +50,7 @@ inline double PointBudgetSeconds(double fallback = 10.0) {
 inline std::vector<uint32_t> MinsupSweep(uint32_t class_rows) {
   std::vector<uint32_t> out;
   for (double frac : {0.95, 0.90, 0.85, 0.80, 0.75, 0.70}) {
-    const uint32_t v =
-        std::max<uint32_t>(1, static_cast<uint32_t>(frac * class_rows));
+    const uint32_t v = MinSupportFromFrac(frac, class_rows);
     if (out.empty() || out.back() != v) out.push_back(v);
   }
   return out;

@@ -16,8 +16,7 @@ int Run() {
        {DatasetProfile::ALL(), DatasetProfile::PC()}) {
     BenchDataset d = Load(profile);
     const DiscreteDataset& train = d.pipeline.train;
-    const uint32_t minsup = std::max<uint32_t>(
-        1, static_cast<uint32_t>(0.8 * train.ClassCounts()[1]));
+    const uint32_t minsup = MinSupportFromFrac(0.8, train.ClassCounts()[1]);
 
     std::printf("--- Dataset %s (minsup = %u) ---\n", profile.name.c_str(),
                 minsup);

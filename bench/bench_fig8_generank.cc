@@ -56,8 +56,7 @@ int Run() {
   for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
     TopkMinerOptions mopt;
     mopt.k = 1;
-    mopt.min_support = std::max<uint32_t>(
-        1, static_cast<uint32_t>(0.7 * train.ClassCounts()[cls]));
+    mopt.min_support = MinSupportFromFrac(0.7, train.ClassCounts()[cls]);
     const TopkResult mined = MineTopkRGS(train, cls, mopt);
     FindLbOptions lopt;
     lopt.num_lower_bounds = 20;

@@ -149,48 +149,6 @@ void BM_PrefixTreeConditional(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixTreeConditional)->Arg(32)->Arg(128)->Arg(210);
 
-// Arena-backed variants of the two prefix-tree benchmarks above. The
-// "allocs_per_tree" counter is the allocation-count delta the arena buys:
-// trees whose buffers missed the recycler, per tree built. Heap-backed
-// construction pays 1.0 by definition; arena-backed construction should
-// converge to ~0 once the pool is warm.
-void BM_PrefixTreeBuildArena(benchmark::State& state) {
-  const uint32_t rows = static_cast<uint32_t>(state.range(0));
-  DiscreteDataset data = MakeMiningData(rows, 512, 3);
-  const Bitset all = Bitset::AllSet(data.num_items());
-  std::vector<RowId> order(rows);
-  for (uint32_t i = 0; i < rows; ++i) order[i] = i;
-  PrefixTree::Arena arena;
-  size_t trees = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(PrefixTree::BuildRoot(data, order, all, &arena));
-    ++trees;
-  }
-  state.counters["allocs_per_tree"] =
-      trees > 0 ? static_cast<double>(arena.heap_allocations()) / trees : 0.0;
-}
-BENCHMARK(BM_PrefixTreeBuildArena)->Arg(32)->Arg(128)->Arg(210);
-
-void BM_PrefixTreeConditionalArena(benchmark::State& state) {
-  const uint32_t rows = static_cast<uint32_t>(state.range(0));
-  DiscreteDataset data = MakeMiningData(rows, 512, 4);
-  const Bitset all = Bitset::AllSet(data.num_items());
-  std::vector<RowId> order(rows);
-  for (uint32_t i = 0; i < rows; ++i) order[i] = i;
-  PrefixTree tree = PrefixTree::BuildRoot(data, order, all);
-  PrefixTree::Arena arena;
-  uint32_t pos = 0;
-  size_t trees = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Conditional(pos, &arena));
-    pos = (pos + 1) % (rows / 2);
-    ++trees;
-  }
-  state.counters["allocs_per_tree"] =
-      trees > 0 ? static_cast<double>(arena.heap_allocations()) / trees : 0.0;
-}
-BENCHMARK(BM_PrefixTreeConditionalArena)->Arg(32)->Arg(128)->Arg(210);
-
 void BM_VectorProjectionChild(benchmark::State& state) {
   const uint32_t rows = static_cast<uint32_t>(state.range(0));
   DiscreteDataset data = MakeMiningData(rows, 512, 5);

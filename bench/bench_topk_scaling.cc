@@ -61,8 +61,7 @@ struct RunConfig {
 
 /// The paper's Table 2 operating point: 70% of the consequent class.
 uint32_t Minsup(const BenchDataset& d) {
-  return std::max<uint32_t>(
-      1, static_cast<uint32_t>(0.7 * d.pipeline.train.ClassCounts()[1]));
+  return MinSupportFromFrac(0.7, d.pipeline.train.ClassCounts()[1]);
 }
 
 TopkResult RunOnce(const BenchDataset& d, const RunConfig& cfg,

@@ -14,8 +14,7 @@ int main() {
   GeneratedData data = GenerateMicroarray(DatasetProfile::ALL());
   Pipeline pipeline = PreparePipeline(data.train, data.test);
   const DiscreteDataset& train = pipeline.train;
-  const uint32_t minsup = std::max<uint32_t>(
-      1, static_cast<uint32_t>(0.85 * train.ClassCounts()[1]));
+  const uint32_t minsup = MinSupportFromFrac(0.85, train.ClassCounts()[1]);
   const double budget = 15.0;
 
   std::printf("ALL-shaped dataset, consequent = class 1, minsup = %u, "

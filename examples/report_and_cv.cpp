@@ -1,4 +1,4 @@
-// Production-workflow walkthrough: mine with the parallel hybrid engine,
+// Production-workflow walkthrough: mine with the parallel MineTopkRGS,
 // render a biologist-facing rule report, cross-validate RCBT, and persist
 // the model for later use — the pieces a downstream user combines on their
 // own data.
@@ -15,14 +15,12 @@ int main() {
   GeneratedData data = GenerateMicroarray(DatasetProfile::Tiny(2025));
   Pipeline pipeline = PreparePipeline(data.train, data.test);
 
-  // 1. Mine with the §8 hybrid engine, one partition per frequent item,
-  //    fanned out over all cores. The result is identical to MineTopkRGS.
+  // 1. Mine on all cores. The result is identical to a one-thread run.
   TopkMinerOptions mopt;
   mopt.k = 3;
-  mopt.min_support = std::max<uint32_t>(
-      1, static_cast<uint32_t>(0.7 * pipeline.train.ClassCounts()[1]));
-  mopt.hybrid_threads = 0;  // hardware default
-  TopkResult mined = MineTopkRGSHybrid(pipeline.train, 1, mopt);
+  mopt.min_support = MinSupportFromFrac(0.7, pipeline.train.ClassCounts()[1]);
+  mopt.threads = 0;  // hardware default
+  TopkResult mined = MineTopkRGS(pipeline.train, 1, mopt);
 
   // 2. Rule report: significance, lift, chi-square and coverage per group.
   std::printf("%s\n", RenderTopkReport(pipeline.train, data.train,

@@ -25,8 +25,7 @@ int main() {
   // Mine the top-3 covering rule groups per row for the tumor class.
   TopkMinerOptions options;
   options.k = 3;
-  options.min_support = std::max<uint32_t>(
-      1, static_cast<uint32_t>(0.7 * train.ClassCounts()[1]));
+  options.min_support = MinSupportFromFrac(0.7, train.ClassCounts()[1]);
   TopkResult result = MineTopkRGS(train, 1, options);
 
   const auto groups = result.DistinctGroups();

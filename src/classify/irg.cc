@@ -1,9 +1,9 @@
 #include "classify/irg.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "mine/miner_common.h"
 #include "mine/topk_miner.h"
 
 namespace topkrgs {
@@ -15,8 +15,8 @@ CbaClassifier TrainIrg(const DiscreteDataset& train, const IrgOptions& options) 
     if (class_counts[cls] == 0) continue;
     TopkMinerOptions mopt;
     mopt.k = 1;
-    mopt.min_support = std::max<uint32_t>(
-        1, static_cast<uint32_t>(options.min_support_frac * class_counts[cls]));
+    mopt.min_support =
+        MinSupportFromFrac(options.min_support_frac, class_counts[cls]);
     TopkResult mined = MineTopkRGS(train, static_cast<ClassLabel>(cls), mopt);
     for (const RuleGroupPtr& group : mined.DistinctGroups()) {
       if (group->confidence() < options.min_confidence) continue;

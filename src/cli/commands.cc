@@ -15,7 +15,6 @@
 #include "mine/charm.h"
 #include "mine/closet.h"
 #include "mine/farmer.h"
-#include "mine/hybrid_miner.h"
 #include "mine/miner_common.h"
 #include "mine/topk_miner.h"
 #include "scale/mmap_dataset.h"
@@ -200,7 +199,7 @@ Status RunMineCommand(const std::vector<std::string>& args) {
   const std::string algorithm = flags.GetString("algorithm", "topk");
   std::vector<RuleGroupPtr> to_print;
   MinerStats stats;
-  if (algorithm == "topk" || algorithm == "hybrid") {
+  if (algorithm == "topk") {
     TopkMinerOptions opt;
     auto k32 = FlagU32(k.value(), 1, "--k");
     if (!k32.ok()) return k32.status();
@@ -211,9 +210,7 @@ Status RunMineCommand(const std::vector<std::string>& args) {
     if (!threads32.ok()) return threads32.status();
     opt.threads = threads32.value();
     opt.warmup_nodes = warmup_nodes.value();
-    const TopkResult result = algorithm == "topk"
-                                  ? MineTopkRGS(data, cls, opt)
-                                  : MineTopkRGSHybrid(data, cls, opt);
+    const TopkResult result = MineTopkRGS(data, cls, opt);
     stats = result.stats;
     to_print = result.DistinctGroups();
     std::printf("top-%u covering rule groups: %zu distinct groups\n", opt.k,

@@ -23,7 +23,7 @@ namespace topkrgs {
 /// (label column + gene columns; entropy-MDL discretization is fitted on
 /// the input).
 ///   --data PATH (required)       input TSV
-///   --algorithm topk|hybrid|farmer|charm|closet|carpenter (default topk)
+///   --algorithm topk|farmer|charm|closet|carpenter (default topk)
 ///   --consequent N               class label to mine for (default 1)
 ///   --minsup N | --minsup-frac F absolute or class-relative support
 ///                                (default --minsup-frac 0.7)
@@ -31,7 +31,7 @@ namespace topkrgs {
 ///   --minconf F                  FARMER confidence threshold (default 0.9)
 ///   --budget SECONDS             wall-clock budget (default 30)
 ///   --max-print N                rule groups to print (default 10)
-///   --threads N                  topk/hybrid worker threads; 0 = all cores
+///   --threads N                  topk worker threads; 0 = all cores
 ///   --warmup-nodes N             serial nodes mined before workers start;
 ///                                -1 = auto (scales with k), 0 = off
 ///                                (default 1; results are thread-count

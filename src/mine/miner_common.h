@@ -14,10 +14,10 @@ namespace topkrgs {
 
 /// Resolves a fractional minimum support against a class size: the paper's
 /// minsup = frac·|C| rounded to the nearest integer, clamped to >= 1.
-/// Rounding matters: the canonical frac = 0.7 on a 10-row class must give
-/// minsup 7, but 0.7 * 10 is 6.999... in binary floating point, so a
-/// truncating cast silently mined at minsup 6. Every frac-to-minsup
-/// conversion (RCBT, CBA, the CLI) must go through this helper.
+/// Rounding matters: frac = 0.7 on a 90-row class must give minsup 63, but
+/// 0.7 * 90 is 62.99999999999999 in binary floating point, so a truncating
+/// cast silently mines at minsup 62. Every frac-to-minsup conversion must
+/// go through this helper.
 inline uint32_t MinSupportFromFrac(double frac, uint32_t class_rows) {
   const long rounded = std::lround(frac * static_cast<double>(class_rows));
   return static_cast<uint32_t>(std::max<long>(1, rounded));
@@ -37,6 +37,10 @@ struct MinerStats {
   uint64_t tasks_executed = 0;
   uint64_t tasks_spawned = 0;
   uint64_t tasks_stolen = 0;
+  // MineTopkRGS Step 10 frequency scans, and how many of them counted
+  // from item postings rather than per candidate (CountFreqFromPostings).
+  uint64_t freq_scans = 0;
+  uint64_t postings_scans = 0;
   double seconds = 0.0;
   bool timed_out = false;
 };

@@ -9,68 +9,9 @@
 
 namespace topkrgs {
 
-PrefixTree::PrefixTree(uint32_t num_positions, Arena* arena) : arena_(arena) {
-  if (arena != nullptr && !arena->free_.empty()) {
-    Arena::Buffers buffers = std::move(arena->free_.back());
-    arena->free_.pop_back();
-    nodes_ = std::move(buffers.nodes);
-    nodes_.clear();
-    headers_ = std::move(buffers.headers);
-    headers_.clear();
-    ++arena->reuses_;
-  } else if (arena != nullptr) {
-    ++arena->heap_allocations_;
-  }
+PrefixTree::PrefixTree(uint32_t num_positions) {
   nodes_.push_back(Node{});  // synthetic root
   headers_.resize(num_positions);
-}
-
-void PrefixTree::ReleaseToArena() {
-  if (arena_ == nullptr) return;
-  if (nodes_.capacity() > 0 || headers_.capacity() > 0) {
-    arena_->free_.push_back(
-        Arena::Buffers{std::move(nodes_), std::move(headers_)});
-  }
-  arena_ = nullptr;
-}
-
-PrefixTree::~PrefixTree() { ReleaseToArena(); }
-
-PrefixTree::PrefixTree(PrefixTree&& other) noexcept
-    : nodes_(std::move(other.nodes_)),
-      headers_(std::move(other.headers_)),
-      tuple_count_(other.tuple_count_),
-      arena_(other.arena_) {
-  other.arena_ = nullptr;
-  other.tuple_count_ = 0;
-}
-
-PrefixTree& PrefixTree::operator=(PrefixTree&& other) noexcept {
-  if (this != &other) {
-    ReleaseToArena();
-    nodes_ = std::move(other.nodes_);
-    headers_ = std::move(other.headers_);
-    tuple_count_ = other.tuple_count_;
-    arena_ = other.arena_;
-    other.arena_ = nullptr;
-    other.tuple_count_ = 0;
-  }
-  return *this;
-}
-
-PrefixTree::PrefixTree(const PrefixTree& other)
-    : nodes_(other.nodes_),
-      headers_(other.headers_),
-      tuple_count_(other.tuple_count_),
-      arena_(nullptr) {}
-
-PrefixTree& PrefixTree::operator=(const PrefixTree& other) {
-  if (this != &other) {
-    nodes_ = other.nodes_;
-    headers_ = other.headers_;
-    tuple_count_ = other.tuple_count_;
-  }
-  return *this;
 }
 
 void PrefixTree::InsertPath(const uint32_t* path, size_t len, uint32_t count) {
@@ -102,13 +43,13 @@ void PrefixTree::InsertPath(const uint32_t* path, size_t len, uint32_t count) {
 
 PrefixTree PrefixTree::BuildRoot(const DiscreteDataset& data,
                                  const std::vector<RowId>& order,
-                                 const Bitset& items, Arena* arena) {
+                                 const Bitset& items) {
   const uint32_t n = data.num_rows();
   TOPKRGS_CHECK(order.size() == n, "order must cover all rows");
   std::vector<uint32_t> position_of(n);
   for (uint32_t pos = 0; pos < n; ++pos) position_of[order[pos]] = pos;
 
-  PrefixTree tree(n, arena);
+  PrefixTree tree(n);
   std::vector<uint32_t> path;
   items.ForEach([&](size_t item) {
     path.clear();
@@ -253,11 +194,9 @@ void PrefixTree::ValidateInvariants() const {
 #endif
 }
 
-PrefixTree PrefixTree::Conditional(uint32_t pos, Arena* arena) const {
-  PrefixTree out(static_cast<uint32_t>(headers_.size()), arena);
-  std::vector<uint32_t> local_path;
-  std::vector<uint32_t>& path =
-      arena != nullptr ? arena->path_scratch_ : local_path;
+PrefixTree PrefixTree::Conditional(uint32_t pos) const {
+  PrefixTree out(num_positions());
+  std::vector<uint32_t> path;
   for (int32_t node = headers_[pos].head; node != -1;
        node = nodes_[node].header_next) {
     const uint32_t count = nodes_[node].count;

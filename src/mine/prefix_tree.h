@@ -7,7 +7,6 @@
 
 #include "core/dataset.h"
 #include "core/types.h"
-#include "util/arena.h"
 
 namespace topkrgs {
 
@@ -22,32 +21,19 @@ namespace topkrgs {
 /// and the total tuple count equals |I(X)|.
 class PrefixTree {
  public:
-  class Arena;
-
   /// An empty placeholder tree (no positions, no tuples). Real trees come
   /// from BuildRoot/Conditional.
   PrefixTree() = default;
 
-  PrefixTree(PrefixTree&& other) noexcept;
-  PrefixTree& operator=(PrefixTree&& other) noexcept;
-  /// Copies are plain heap-backed (they never borrow the source's arena).
-  PrefixTree(const PrefixTree& other);
-  PrefixTree& operator=(const PrefixTree& other);
-  ~PrefixTree();
-
   /// Builds the root tree TT|_∅ over the frequent `items`; rows are numbered
-  /// by their position in `order`. With an arena, the node/header buffers
-  /// are recycled through it.
+  /// by their position in `order`.
   static PrefixTree BuildRoot(const DiscreteDataset& data,
                               const std::vector<RowId>& order,
-                              const Bitset& items, Arena* arena = nullptr);
+                              const Bitset& items);
 
   /// The conditional (projected) tree of `pos`: tuples containing pos,
-  /// truncated to positions strictly greater than pos. With an arena the
-  /// child's buffers are recycled through it — the hot path of the
-  /// row-enumeration DFS, which builds and drops one conditional tree per
-  /// enumeration edge.
-  PrefixTree Conditional(uint32_t pos, Arena* arena = nullptr) const;
+  /// truncated to positions strictly greater than pos.
+  PrefixTree Conditional(uint32_t pos) const;
 
   /// Number of row positions in the underlying order.
   uint32_t num_positions() const {
@@ -113,37 +99,7 @@ class PrefixTree {
     uint32_t freq = 0;
   };
 
- public:
-  /// Buffer recycler for tree construction. Not thread-safe: the parallel
-  /// miner gives each worker its own arena, so every conditional tree built
-  /// and destroyed on a worker reuses that worker's buffers.
-  class Arena {
-   public:
-    Arena() = default;
-    Arena(const Arena&) = delete;
-    Arena& operator=(const Arena&) = delete;
-
-    /// Trees whose buffers were served from recycled capacity.
-    size_t reuses() const { return reuses_; }
-    /// Trees that found the arena empty and heap-allocated fresh buffers.
-    size_t heap_allocations() const { return heap_allocations_; }
-
-   private:
-    friend class PrefixTree;
-    struct Buffers {
-      std::vector<Node> nodes;
-      std::vector<Header> headers;
-    };
-    std::vector<Buffers> free_;
-    std::vector<uint32_t> path_scratch_;
-    size_t reuses_ = 0;
-    size_t heap_allocations_ = 0;
-  };
-
- private:
-  PrefixTree(uint32_t num_positions, Arena* arena);
-
-  void ReleaseToArena();
+  explicit PrefixTree(uint32_t num_positions);
 
   /// Inserts a path of positions (descending order) with multiplicity
   /// `count`, sharing existing prefixes.
@@ -152,7 +108,6 @@ class PrefixTree {
   std::vector<Node> nodes_;  // nodes_[0] is the synthetic root
   std::vector<Header> headers_;
   uint64_t tuple_count_ = 0;
-  Arena* arena_ = nullptr;  // owner of the buffers after destruction
 };
 
 }  // namespace topkrgs

@@ -12,7 +12,8 @@
 namespace topkrgs {
 
 /// The interchangeable encodings of a projected transposed table used by
-/// the row-enumeration miners. All expose the same contract:
+/// the FARMER and CARPENTER baselines (the backends Figure 6 compares).
+/// All expose the same contract:
 ///
 ///  * Positions(out): the candidate row positions present in this projection
 ///    (ascending). Cheap for all backends.
@@ -22,10 +23,6 @@ namespace topkrgs {
 ///    the prefix-tree backend reads a header counter (its cost was paid once
 ///    when the conditional tree was built).
 ///  * Child(pos): the {X ∪ {pos}}-projected table.
-///  * WithArena(arena): a view of the same projection whose descendants
-///    allocate through `arena` (a per-worker buffer recycler). Backends
-///    without arena-backed construction return themselves; the parallel
-///    miner calls this once per worker over the shared root projection.
 
 /// Bitset-backed projection: candidates kept as an explicit position list;
 /// frequencies computed against I(X) on demand. This mirrors the original
@@ -36,10 +33,6 @@ class BitsetProjection {
       : data_(data), order_(order) {
     positions_.resize(order->size());
     for (uint32_t i = 0; i < positions_.size(); ++i) positions_[i] = i;
-  }
-
-  const BitsetProjection& WithArena(PrefixTree::Arena* /*arena*/) const {
-    return *this;
   }
 
   void Positions(std::vector<uint32_t>* out) const { *out = positions_; }
@@ -107,10 +100,6 @@ class VectorProjection {
     });
   }
 
-  const VectorProjection& WithArena(PrefixTree::Arena* /*arena*/) const {
-    return *this;
-  }
-
   void Positions(std::vector<uint32_t>* out) const {
     out->clear();
     for (uint32_t pos = 0; pos < num_positions_; ++pos) {
@@ -158,46 +147,26 @@ class TreeProjection {
   /// Takes the tree by rvalue: every construction site hands over a
   /// freshly built tree, and the && makes any future copying caller
   /// spell out the copy instead of hiding it in a by-value sink.
-  explicit TreeProjection(PrefixTree&& tree,
-                          PrefixTree::Arena* arena = nullptr)
-      : tree_(std::move(tree)), arena_(arena) {}
-
-  /// A borrowed view over this projection's tree whose conditional trees
-  /// allocate from `arena`. The view must not outlive the viewed
-  /// projection; children built from it are owning as usual.
-  TreeProjection WithArena(PrefixTree::Arena* arena) const {
-    return TreeProjection(&ref(), arena);
-  }
+  explicit TreeProjection(PrefixTree&& tree) : tree_(std::move(tree)) {}
 
   void Positions(std::vector<uint32_t>* out) const {
     out->clear();
-    ref().ForEachFrequentPosition(
+    tree_.ForEachFrequentPosition(
         [out](uint32_t pos, uint32_t) { out->push_back(pos); });
   }
 
   template <typename ItemSet>
   TKRGS_HOT uint32_t Freq(uint32_t pos, const ItemSet& /*items*/) const {
-    return ref().freq(pos);
+    return tree_.freq(pos);
   }
 
   TreeProjection Child(uint32_t pos,
                        const std::vector<uint32_t>& /*live_positions*/) const {
-    return TreeProjection(ref().Conditional(pos, arena_), arena_);
+    return TreeProjection(tree_.Conditional(pos));
   }
-
-  const PrefixTree& tree() const { return ref(); }
 
  private:
-  TreeProjection(const PrefixTree* borrowed, PrefixTree::Arena* arena)
-      : borrowed_(borrowed), arena_(arena) {}
-
-  const PrefixTree& ref() const {
-    return borrowed_ != nullptr ? *borrowed_ : tree_;
-  }
-
   PrefixTree tree_;
-  const PrefixTree* borrowed_ = nullptr;
-  PrefixTree::Arena* arena_ = nullptr;
 };
 
 }  // namespace topkrgs

@@ -7,10 +7,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <thread>
 #include <utility>
 
-#include "mine/projection.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/hot_path.h"
@@ -316,27 +317,26 @@ class TopkSearch {
   /// Sentinel for "no epoch observed yet" (forces the first refresh).
   static constexpr uint64_t kEpochNever = ~0ull;
 
-  /// Per-worker DFS state: the enumeration stack, scratch-buffer pool and
-  /// prefix-tree arena persist across the tasks a worker drains, so a
-  /// steady-state worker stops allocating. chain_pos/chain_live mirror the
-  /// Child() calls from the root to the current node — the recipe a
-  /// dynamic split snapshots so a thief can rebuild the projection.
+  /// Per-worker DFS state: the enumeration stack and scratch buffers
+  /// persist across the tasks a worker drains, so a steady-state worker
+  /// stops allocating.
   struct WorkerState {
     std::vector<uint32_t> x_stack;
     std::vector<uint8_t> in_x;
     uint32_t xp = 0;
     uint32_t xn = 0;
+    uint32_t depth = 0;  // branch rows from the root to the current node
     uint32_t origin = kOriginMax;        // current origin-range base
     uint32_t origin_limit = kOriginMax;  // exclusive end of the free range
     uint64_t minsup_epoch = kEpochNever;  // epoch of the last minsup scan
     uint32_t worker_index = 0;
     SubtreeTask* task = nullptr;   // the task currently executing
-    std::vector<uint32_t> chain_pos;
-    std::vector<const std::vector<uint32_t>*> chain_live;
     MinerStats stats;
     std::vector<Emission>* sink = nullptr;
     VectorPool<uint32_t> scratch;
-    PrefixTree::Arena tree_arena;
+    // Per-row postings counter of CountFreq, indexed by original row id;
+    // all zero between scans (each scan resets what it set).
+    std::vector<uint32_t> row_count;
     // One RowSet per enumeration depth, reused across every sibling at
     // that depth: IntersectAdaptiveInto refills the slot's id array or
     // bitmap in place, so the per-node intersection stops allocating once
@@ -347,21 +347,19 @@ class TopkSearch {
 
   /// A frozen enumeration node whose children are (or became, through a
   /// dynamic split) subtree tasks: everything a worker needs to resume any
-  /// child — the DFS stack, I(X), the surviving candidates — plus the
-  /// Child()-call chain (branch position + parent candidate list per
-  /// level) needed to rebuild the node's projection from the root on a
-  /// stealing worker. Immutable once published; tasks share it through a
+  /// child — the DFS stack, I(X), the surviving candidates. A child's
+  /// candidates are the node's live[child+1..), so a stealing worker
+  /// rebuilds nothing. Immutable once published; tasks share it through a
   /// shared_ptr.
   struct NodeCtx {
     std::vector<uint32_t> x_stack;    // full stack at the node (incl. absorbed)
     uint32_t xp = 0;
     uint32_t xn = 0;
+    uint32_t depth = 0;               // WorkerState::depth at the node
     RowSet items;                     // I(X) at the node (density-adaptive)
     std::vector<uint32_t> live;       // surviving candidate positions
     std::vector<uint32_t> live_freq;  // their item counts (child items_count)
     std::vector<uint32_t> suffix_pos; // positive candidates after live[i]
-    std::vector<uint32_t> chain_pos;  // branch positions, root -> this node
-    std::vector<std::vector<uint32_t>> chain_live;  // parent live list of each
   };
 
   /// One subtree of the enumeration tree: the unit of scheduled work —
@@ -384,37 +382,56 @@ class TopkSearch {
     std::vector<size_t> spawn_at;
   };
 
-  template <typename Proj>
-  TKRGS_HOT void Visit(WorkerState& ws, const Proj& proj,
+  /// Visits node X, whose candidate rows are `cand` (ascending positions,
+  /// none in X) and whose item set I(X) is `items`.
+  TKRGS_HOT void Visit(WorkerState& ws, std::span<const uint32_t> cand,
                        const RowSet& items, uint32_t items_count,
-                       uint32_t branch_pos, bool closed_on_left);
+                       bool closed_on_left);
+
+  /// Step 10's scan of TT'|_X: (*freq)[i] = |I(X) ∩ items(cand[i])|,
+  /// counted per candidate or from item postings, whichever
+  /// CountFreqFromPostings says costs less at this node.
+  TKRGS_HOT void CountFreq(WorkerState& ws, std::span<const uint32_t> cand,
+                           const RowSet& items, std::vector<uint32_t>* freq);
+
+  /// Steps 7 and 14 for child X ∪ {live[i]} of the current node X: the
+  /// backward check, then the descent. `items` is I(X); it must not be
+  /// ws.rowset_scratch[ws.depth], the slot the child's item set goes to.
+  TKRGS_HOT void Descend(WorkerState& ws, const RowSet& items,
+                         std::span<const uint32_t> live, uint32_t child_count,
+                         size_t i);
+
+  /// The per-child loose bound: support below child X ∪ {p} is capped by
+  /// X, the branch row p, and the `positives_after` positive candidates
+  /// ordered after it.
+  TKRGS_HOT bool ChildHopeless(const WorkerState& ws, uint32_t p,
+                               uint32_t positives_after,
+                               const Thresh& cut) const {
+    return Hopeless(ws.xp + (IsPos(p) ? 1 : 0) + positives_after,
+                    ws.xn + (IsPos(p) ? 0 : 1), cut, ws.origin);
+  }
 
   /// Processes the root node serially (seeding the shared thresholds with
   /// its high-support group), turns every first-level subtree into a
   /// SubtreeTask, and drains the tasks through the work-stealing scheduler.
   /// One worker degenerates to the serial search: tasks are claimed in
   /// canonical order and nothing ever starves, so nothing splits.
-  template <typename Proj>
-  void MineRoot(const Proj& root, const RowSet& items, uint32_t items_count);
+  void MineRoot(const RowSet& items, uint32_t items_count);
 
-  /// Runs one task: checks, builds and descends into the subtree rooted at
-  /// ctx->live[task.child]. `node_proj` is the (worker-cached) projection
-  /// of the task's parent node.
-  template <typename Proj>
-  TKRGS_HOT void RunTask(WorkerState& ws, const Proj& node_proj,
-                         SubtreeTask& task);
+  /// Runs one task: checks and descends into the subtree rooted at
+  /// ctx->live[task.child].
+  TKRGS_HOT void RunTask(WorkerState& ws, SubtreeTask& task);
 
   /// Rebinds a worker's DFS state to another task context.
   void SwitchCtx(WorkerState& ws, const NodeCtx& ctx) const;
 
   /// Whether the current node may shed its `remaining` unvisited children
   /// as tasks: only when another worker is starving, this worker has
-  /// nothing queued itself, the spawn chain is still shallow enough that
-  /// snapshotting the Child()-call chain stays cheap, and the unit's
-  /// origin range has a slot for every child plus the continuing parent
-  /// (ranges shrink geometrically with split nesting, throttling
-  /// fragmentation before it can erode tie pruning or drown the run in
-  /// chain rebuilds).
+  /// nothing queued itself, the node is shallow enough that its children
+  /// are still worth shipping, and the unit's origin range has a slot for
+  /// every child plus the continuing parent (ranges shrink geometrically
+  /// with split nesting, throttling fragmentation before it can erode tie
+  /// pruning).
   bool CanSpawn(const WorkerState& ws, size_t remaining) const;
 
   /// Sheds children first_child..live.size()-1 of the current node as
@@ -430,7 +447,7 @@ class TopkSearch {
   void SeedSingleItems(const Bitset& frequent_items);
   TKRGS_HOT void MaybeRaiseMinsup(WorkerState& ws);
   TKRGS_HOT Thresh ComputeCut(const std::vector<uint32_t>& x_stack,
-                              const std::vector<uint32_t>& candidates) const;
+                              std::span<const uint32_t> candidates) const;
   TKRGS_HOT bool Hopeless(uint32_t best_sup, uint32_t min_neg,
                           const Thresh& cut, uint32_t origin) const;
   TKRGS_HOT void EmitAt(WorkerState& ws, const RowSet& items,
@@ -464,6 +481,9 @@ class TopkSearch {
   std::vector<uint32_t> position_of_;  // original row id -> position
   std::vector<uint8_t> pos_positive_;  // position -> is consequent-class
   std::vector<uint32_t> positive_positions_;
+  std::vector<uint32_t> item_support_;  // item -> |item_rows(item)|
+  uint32_t item_words_ = 0;  // 64-bit words of an item-universe bitmap
+  uint32_t row_words_ = 0;   // 64-bit words of a row bitmap
   uint32_t np_ = 0;  // number of consequent-class rows
   uint32_t initial_minsup_ = 1;
   uint32_t num_workers_ = 1;
@@ -505,6 +525,8 @@ void TopkSearch::MergeStats(const MinerStats& s) {
   stats_.tasks_executed += s.tasks_executed;
   stats_.tasks_spawned += s.tasks_spawned;
   stats_.tasks_stolen += s.tasks_stolen;
+  stats_.freq_scans += s.freq_scans;
+  stats_.postings_scans += s.postings_scans;
 }
 
 /// Replay-side insert: exactly the paper's per-row list maintenance, run
@@ -635,7 +657,7 @@ void TopkSearch::MaybeRaiseMinsup(WorkerState& ws) {
 }
 
 Thresh TopkSearch::ComputeCut(const std::vector<uint32_t>& x_stack,
-                              const std::vector<uint32_t>& candidates) const {
+                              std::span<const uint32_t> candidates) const {
   // Equation 1/2: the weakest k-th entry over the rows the subtree can still
   // cover (Lemma 3.2: Xp ∪ Rp). The cut's origin must justify tie
   // suppression against EVERY coverable row, so among the rows tied at the
@@ -724,11 +746,9 @@ void TopkSearch::EmitAt(WorkerState& ws, const RowSet& items,
   ws.sink->push_back(std::move(emission));
 }
 
-template <typename Proj>
-void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
-                       uint32_t items_count, uint32_t branch_pos,
+void TopkSearch::Visit(WorkerState& ws, std::span<const uint32_t> cand,
+                       const RowSet& items, uint32_t items_count,
                        bool closed_on_left) {
-  (void)branch_pos;  // kept for symmetry with the paper's Depthfirst()
   if (stopped_.load(std::memory_order_relaxed)) return;
   ++ws.stats.nodes_visited;
   if (opt_.deadline.Expired()) {
@@ -737,12 +757,6 @@ void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
     return;
   }
   if (items_count == 0) return;  // I(X) = ∅: no rules below this node
-
-  PooledVector<uint32_t> cand_lease(&ws.scratch);
-  std::vector<uint32_t>& cand = *cand_lease;
-  // NOLINT(hotpath: fills a pooled lease whose capacity is retained)
-  proj.Positions(&cand);
-  std::erase_if(cand, [&](uint32_t p) { return ws.in_x[p] != 0; });
 
   uint32_t rp = 0;  // positive candidate rows (bounds the subtree's support)
   for (uint32_t p : cand) {
@@ -764,15 +778,19 @@ void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
 
   // Step 10: scan TT'|_X — frequencies, then absorb rows occurring in every
   // tuple (they appear in all descendants).
+  PooledVector<uint32_t> cand_freq_lease(&ws.scratch);
   PooledVector<uint32_t> live_lease(&ws.scratch);
   PooledVector<uint32_t> freq_lease(&ws.scratch);
   PooledVector<uint32_t> absorbed_lease(&ws.scratch);
+  std::vector<uint32_t>& cand_freq = *cand_freq_lease;
   std::vector<uint32_t>& live = *live_lease;
   std::vector<uint32_t>& live_freq = *freq_lease;
   std::vector<uint32_t>& absorbed = *absorbed_lease;
+  CountFreq(ws, cand, items, &cand_freq);
   uint32_t mp = 0;
-  for (uint32_t p : cand) {
-    const uint32_t f = proj.Freq(p, items);
+  for (size_t c = 0; c < cand.size(); ++c) {
+    const uint32_t p = cand[c];
+    const uint32_t f = cand_freq[c];
     if (f == items_count) {
       // NOLINT(hotpath: pooled lease retains capacity across nodes)
       absorbed.push_back(p);
@@ -813,14 +831,7 @@ void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
       suffix_pos[i] = suffix_pos[i + 1] + (IsPos(live[i]) ? 1 : 0);
     }
 
-    // Step 14: enumerate children in ORD order. Step 7's backward check
-    // runs here, before the child projection is built: a skipped earlier
-    // row containing I(X ∪ {p}) means the child duplicates an earlier
-    // branch (X' != R(I(X')) there and at every descendant), so nothing in
-    // it may be emitted and — when the pruning is enabled — the projection
-    // need not even be constructed. Redundancy propagates downward (the
-    // earlier row also contains every descendant's smaller I), so in
-    // ablation mode each descendant's own check re-detects it.
+    // Step 14: enumerate children in ORD order.
     for (size_t i = 0;
          i < live.size() && !stopped_.load(std::memory_order_relaxed); ++i) {
       if (live.size() - i >= 2 && CanSpawn(ws, live.size() - i)) {
@@ -848,62 +859,15 @@ void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
           cut = ComputeCut(ws.x_stack, live);
         }
       }
-      const uint32_t p = live[i];
-      if (opt_.use_bound_pruning) {
-        // Per-child loose bounds before any per-child work: support in the
-        // child subtree is capped by X, the branch row, and the positive
-        // candidates ordered after it; the parent's cut is a lower bound on
-        // every child's cut, so pruning against it is sound.
-        const uint32_t child_sup_ub =
-            ws.xp + (IsPos(p) ? 1 : 0) + suffix_pos[i + 1];
-        const uint32_t child_min_neg = ws.xn + (IsPos(p) ? 0 : 1);
-        if (Hopeless(child_sup_ub, child_min_neg, cut, ws.origin)) {
-          ++ws.stats.pruned_bounds;
-          continue;
-        }
+      // Per-child loose bounds before any per-child work; the parent's cut
+      // is a lower bound on every child's cut, so pruning against it is
+      // sound.
+      if (opt_.use_bound_pruning &&
+          ChildHopeless(ws, live[i], suffix_pos[i + 1], cut)) {
+        ++ws.stats.pruned_bounds;
+        continue;
       }
-      // The parent's `items` lives at a shallower slot (or outside the
-      // pool entirely), so writing this depth's slot never aliases it.
-      const size_t depth = ws.chain_pos.size();
-      if (ws.rowset_scratch.size() <= depth) {
-        // NOLINT(hotpath: one-time growth per depth first reached; every
-        // later node at this depth reuses the slot allocation-free)
-        ws.rowset_scratch.resize(depth + 1);
-      }
-      RowSet& child_items = ws.rowset_scratch[depth];
-      items.IntersectAdaptiveInto(data_.row_bitset(order_[p]), &child_items);
-      bool child_closed = true;
-      for (uint32_t q = 0; q < p; ++q) {
-        if (!ws.in_x[q] &&
-            child_items.IsSubsetOf(data_.row_bitset(order_[q]))) {
-          child_closed = false;
-          break;
-        }
-      }
-      // Sharded mining: a pre-suffix row containing I(X ∪ {p}) is an
-      // "earlier row" of the global order exactly like the q-loop above —
-      // the child duplicates a branch an earlier shard enumerates.
-      if (child_closed && ContainedOutside(child_items)) child_closed = false;
-      if (!child_closed) {
-        ++ws.stats.pruned_backward;
-        if (opt_.use_backward_pruning) continue;
-      }
-      ws.in_x[p] = 1;
-      ws.x_stack.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
-      IsPos(p) ? ++ws.xp : ++ws.xn;
-      ws.chain_pos.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
-      // NOLINT(hotpath: stack keeps capacity)
-      ws.chain_live.push_back(&live);
-      // NOLINT(hotpath: the child projection build is the per-child
-      // descent cost — arena-backed for the tree strategy, by-design
-      // rebuild scans for the bitset/vector strategies)
-      Visit(ws, proj.Child(p, live), child_items, live_freq[i], p,
-            child_closed);
-      ws.chain_live.pop_back();
-      ws.chain_pos.pop_back();
-      IsPos(p) ? --ws.xp : --ws.xn;
-      ws.x_stack.pop_back();
-      ws.in_x[p] = 0;
+      Descend(ws, items, live, live_freq[i], i);
     }
   }
 
@@ -915,23 +879,114 @@ void TopkSearch::Visit(WorkerState& ws, const Proj& proj, const RowSet& items,
   }
 }
 
+void TopkSearch::CountFreq(WorkerState& ws, std::span<const uint32_t> cand,
+                           const RowSet& items, std::vector<uint32_t>* freq) {
+  ++ws.stats.freq_scans;
+  // NOLINT(hotpath: pooled lease retains capacity across nodes)
+  freq->resize(cand.size());
+  const uint64_t n = items.Count();
+  const bool sparse = items.is_sparse();
+  bool postings =
+      CountFreqFromPostings(cand.size(), n, sparse, item_words_, 0, row_words_);
+  if (postings) {
+    uint64_t support_sum = 0;
+    items.ForEach([&](size_t item) { support_sum += item_support_[item]; });
+    postings = CountFreqFromPostings(cand.size(), n, sparse, item_words_,
+                                     support_sum, row_words_);
+  }
+  if (!postings) {
+    for (size_t c = 0; c < cand.size(); ++c) {
+      // NOLINT(cast: IntersectCount <= num_items <= kMaxItemUniverse = 2^20)
+      (*freq)[c] = static_cast<uint32_t>(
+          items.IntersectCount(data_.row_bitset(order_[cand[c]])));
+    }
+    return;
+  }
+  ++ws.stats.postings_scans;
+  if (ws.row_count.empty()) {
+    // NOLINT(hotpath: one-time per-worker growth on its first postings
+    // scan; every later scan reuses the counter allocation-free)
+    ws.row_count.assign(data_.num_rows(), 0);
+  }
+  uint32_t* count = ws.row_count.data();
+  auto rows_of = [&](size_t item) -> const Bitset& {
+    // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
+    return data_.item_rows(static_cast<ItemId>(item));
+  };
+  items.ForEach([&](size_t item) {
+    rows_of(item).ForEach([count](size_t row) { ++count[row]; });
+  });
+  for (size_t c = 0; c < cand.size(); ++c) {
+    (*freq)[c] = count[order_[cand[c]]];
+  }
+  items.ForEach([&](size_t item) {
+    rows_of(item).ForEach([count](size_t row) { count[row] = 0; });
+  });
+}
+
+void TopkSearch::Descend(WorkerState& ws, const RowSet& items,
+                         std::span<const uint32_t> live, uint32_t child_count,
+                         size_t i) {
+  const uint32_t p = live[i];
+  if (ws.rowset_scratch.size() <= ws.depth) {
+    // NOLINT(hotpath: one-time growth per depth first reached; every
+    // later node at this depth reuses the slot allocation-free)
+    ws.rowset_scratch.resize(ws.depth + 1);
+  }
+  RowSet& child_items = ws.rowset_scratch[ws.depth];
+  items.IntersectAdaptiveInto(data_.row_bitset(order_[p]), &child_items);
+  // Step 7, run before the child is visited: a skipped earlier row
+  // containing I(X ∪ {p}) means the child duplicates an earlier branch
+  // (X' != R(I(X')) there and at every descendant), so nothing in it may
+  // be emitted and — when the pruning is enabled — it is not visited.
+  // Redundancy propagates downward (the earlier row also contains every
+  // descendant's smaller I), so in ablation mode each descendant's own
+  // check re-detects it.
+  bool child_closed = true;
+  for (uint32_t q = 0; q < p; ++q) {
+    if (!ws.in_x[q] && child_items.IsSubsetOf(data_.row_bitset(order_[q]))) {
+      child_closed = false;
+      break;
+    }
+  }
+  // Sharded mining: a pre-suffix row containing I(X ∪ {p}) is an
+  // "earlier row" of the global order exactly like the q-loop above —
+  // the child duplicates a branch an earlier shard enumerates.
+  if (child_closed && ContainedOutside(child_items)) child_closed = false;
+  if (!child_closed) {
+    ++ws.stats.pruned_backward;
+    if (opt_.use_backward_pruning) return;
+  }
+  ws.in_x[p] = 1;
+  ws.x_stack.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
+  IsPos(p) ? ++ws.xp : ++ws.xn;
+  ++ws.depth;
+  // The child's candidates are the live rows after p: rows that share no
+  // item with I(X) share none with the smaller I(X ∪ {p}) either.
+  Visit(ws, live.subspan(i + 1), child_items, child_count, child_closed);
+  --ws.depth;
+  IsPos(p) ? --ws.xp : --ws.xn;
+  ws.x_stack.pop_back();
+  ws.in_x[p] = 0;
+}
+
 void TopkSearch::SwitchCtx(WorkerState& ws, const NodeCtx& ctx) const {
   for (uint32_t p : ws.x_stack) ws.in_x[p] = 0;
   ws.x_stack = ctx.x_stack;
   for (uint32_t p : ws.x_stack) ws.in_x[p] = 1;
   ws.xp = ctx.xp;
   ws.xn = ctx.xn;
+  ws.depth = ctx.depth;
 }
 
 bool TopkSearch::CanSpawn(const WorkerState& ws, size_t remaining) const {
-  // Snapshot cost grows with the chain (every parent live list is copied);
-  // past this depth the unvisited children are too small to be worth
-  // shipping anyway.
-  constexpr size_t kMaxSpawnDepth = 32;
+  // Past this depth the unvisited children are too small to be worth
+  // shipping.
+  constexpr uint32_t kMaxSpawnDepth = 32;
   return num_workers_ > 1 && ws.task != nullptr &&
          starving_.load(std::memory_order_relaxed) > 0 &&
          deques_[ws.worker_index]->Empty() &&
-         ws.chain_pos.size() <= kMaxSpawnDepth &&
+         ws.depth <= kMaxSpawnDepth &&
          // One origin slot per shed child plus one for the continuing
          // parent must fit in the unit's free range (see SpawnRemaining).
          ws.origin_limit - ws.origin >= remaining + 2;
@@ -946,15 +1001,11 @@ void TopkSearch::SpawnRemaining(WorkerState& ws, const RowSet& items,
   ctx->x_stack = ws.x_stack;
   ctx->xp = ws.xp;
   ctx->xn = ws.xn;
+  ctx->depth = ws.depth;
   ctx->items = items;
   ctx->live = live;
   ctx->live_freq = live_freq;
   ctx->suffix_pos = suffix_pos;
-  ctx->chain_pos = ws.chain_pos;
-  ctx->chain_live.reserve(ws.chain_live.size());
-  for (const std::vector<uint32_t>* parent_live : ws.chain_live) {
-    ctx->chain_live.push_back(*parent_live);
-  }
 
   SubtreeTask& parent = *ws.task;
   const size_t marker = parent.emissions.size();
@@ -995,69 +1046,26 @@ void TopkSearch::SpawnRemaining(WorkerState& ws, const RowSet& items,
   ws.stats.tasks_spawned += count;
 }
 
-template <typename Proj>
-void TopkSearch::RunTask(WorkerState& ws, const Proj& node_proj,
-                         SubtreeTask& task) {
+void TopkSearch::RunTask(WorkerState& ws, SubtreeTask& task) {
   const NodeCtx& ctx = *task.ctx;
-  const uint32_t p = ctx.live[task.child];
-  if (opt_.use_bound_pruning) {
-    // The serial search checks each child against its parent's cut before
-    // building its projection; here the check runs when the task is
-    // claimed, against the freshest thresholds (any achieved threshold is
-    // a sound pruning bound). For a task that sat queued while the
-    // thresholds matured — the common case late in the search — this is
-    // where the whole subtree dies for the price of one cut.
-    const Thresh cut = ComputeCut(ws.x_stack, ctx.live);
-    const uint32_t child_sup_ub =
-        ws.xp + (IsPos(p) ? 1 : 0) + ctx.suffix_pos[task.child + 1];
-    const uint32_t child_min_neg = ws.xn + (IsPos(p) ? 0 : 1);
-    if (Hopeless(child_sup_ub, child_min_neg, cut, ws.origin)) {
-      ++ws.stats.pruned_bounds;
-      return;
-    }
+  // The serial search checks each child against its parent's cut before
+  // descending; here the check runs when the task is claimed, against the
+  // freshest thresholds (any achieved threshold is a sound pruning bound).
+  // For a task that sat queued while the thresholds matured — the common
+  // case late in the search — this is where the whole subtree dies for
+  // the price of one cut.
+  if (opt_.use_bound_pruning &&
+      ChildHopeless(ws, ctx.live[task.child], ctx.suffix_pos[task.child + 1],
+                    ComputeCut(ws.x_stack, ctx.live))) {
+    ++ws.stats.pruned_bounds;
+    return;
   }
-  // Same per-depth scratch discipline as Visit: ctx.items lives in the
-  // heap NodeCtx, never in the pool, so the slot write cannot alias it.
-  const size_t depth = ws.chain_pos.size();
-  if (ws.rowset_scratch.size() <= depth) {
-    // NOLINT(hotpath: one-time growth per depth first reached; every
-    // later node at this depth reuses the slot allocation-free)
-    ws.rowset_scratch.resize(depth + 1);
-  }
-  RowSet& child_items = ws.rowset_scratch[depth];
-  ctx.items.IntersectAdaptiveInto(data_.row_bitset(order_[p]), &child_items);
-  bool child_closed = true;
-  for (uint32_t q = 0; q < p; ++q) {
-    if (!ws.in_x[q] && child_items.IsSubsetOf(data_.row_bitset(order_[q]))) {
-      child_closed = false;
-      break;
-    }
-  }
-  // See Visit: the out-of-shard half of the backward check.
-  if (child_closed && ContainedOutside(child_items)) child_closed = false;
-  if (!child_closed) {
-    ++ws.stats.pruned_backward;
-    if (opt_.use_backward_pruning) return;
-  }
-  ws.in_x[p] = 1;
-  ws.x_stack.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
-  IsPos(p) ? ++ws.xp : ++ws.xn;
-  ws.chain_pos.push_back(p);  // NOLINT(hotpath: stack keeps capacity)
-  // NOLINT(hotpath: stack keeps capacity)
-  ws.chain_live.push_back(&ctx.live);
-  // NOLINT(hotpath: child projection build — see the matching Visit site)
-  Visit(ws, node_proj.Child(p, ctx.live), child_items,
-        ctx.live_freq[task.child], p, child_closed);
-  ws.chain_live.pop_back();
-  ws.chain_pos.pop_back();
-  IsPos(p) ? --ws.xp : --ws.xn;
-  ws.x_stack.pop_back();
-  ws.in_x[p] = 0;
+  // ctx.items lives in the heap NodeCtx, never in the per-depth scratch,
+  // so Descend's slot write cannot alias it.
+  Descend(ws, ctx.items, ctx.live, ctx.live_freq[task.child], task.child);
 }
 
-template <typename Proj>
-void TopkSearch::MineRoot(const Proj& root, const RowSet& items,
-                          uint32_t items_count) {
+void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
   WorkerState root_ws;
   root_ws.in_x.assign(data_.num_rows(), 0);
   root_ws.sink = &root_emissions_;
@@ -1070,8 +1078,8 @@ void TopkSearch::MineRoot(const Proj& root, const RowSet& items,
   if (opt_.deadline.Expired()) {
     timed_out_.store(true, std::memory_order_relaxed);
   } else if (items_count > 0) {
-    std::vector<uint32_t> cand;
-    root.Positions(&cand);
+    std::vector<uint32_t> cand(data_.num_rows());
+    std::iota(cand.begin(), cand.end(), 0u);
 
     uint32_t rp = 0;
     for (uint32_t p : cand) {
@@ -1084,12 +1092,15 @@ void TopkSearch::MineRoot(const Proj& root, const RowSet& items,
     if (opt_.use_bound_pruning && Hopeless(rp, 0, cut, root_ws.origin)) {
       ++root_ws.stats.pruned_bounds;
     } else {
+      std::vector<uint32_t> cand_freq;
+      CountFreq(root_ws, cand, items, &cand_freq);
       std::vector<uint32_t> live;
       std::vector<uint32_t> live_freq;
       std::vector<uint32_t> absorbed;
       uint32_t mp = 0;
-      for (uint32_t p : cand) {
-        const uint32_t f = root.Freq(p, items);
+      for (size_t c = 0; c < cand.size(); ++c) {
+        const uint32_t p = cand[c];
+        const uint32_t f = cand_freq[c];
         if (f == items_count) {
           absorbed.push_back(p);
         } else if (f > 0) {
@@ -1128,8 +1139,6 @@ void TopkSearch::MineRoot(const Proj& root, const RowSet& items,
         root_ctx->items = items;
         root_ctx->live = std::move(live);
         root_ctx->live_freq = std::move(live_freq);
-        // chain_pos/chain_live stay empty: the root's projection needs no
-        // Child() calls to rebuild.
         fan_out = true;
       }
     }
@@ -1190,38 +1199,17 @@ void TopkSearch::MineRoot(const Proj& root, const RowSet& items,
   // before it stops claiming tasks (the serial warm-up below); 0 = run
   // until the search is drained.
   auto worker_loop = [&](WorkerState& ws, uint64_t node_budget) {
-    auto&& view = root.WithArena(&ws.tree_arena);
-    using ChildProj = std::decay_t<decltype(view.Child(0u, root_ctx_->live))>;
-    // Rebuilt Child()-call chain of the cached task context. A std::deque
-    // so growing it never relocates earlier projections (each level's
-    // projection may reference its parent's).
-    std::deque<ChildProj> chain;
     const NodeCtx* cached = nullptr;
-    const ChildProj* base = &view;
-
     auto run_one = [&](SubtreeTask* task) {
-      const NodeCtx& ctx = *task->ctx;
-      if (cached != &ctx) {
-        // Unwind root-ward before rebuilding: a projection may reference
-        // its parent, so teardown must be leaf-first.
-        while (!chain.empty()) chain.pop_back();
-        SwitchCtx(ws, ctx);
-        for (size_t d = 0; d < ctx.chain_pos.size(); ++d) {
-          const ChildProj& parent = chain.empty() ? *base : chain.back();
-          chain.push_back(parent.Child(ctx.chain_pos[d], ctx.chain_live[d]));
-        }
-        cached = &ctx;
+      if (cached != task->ctx.get()) {
+        SwitchCtx(ws, *task->ctx);
+        cached = task->ctx.get();
       }
       ws.task = task;
       ws.sink = &task->emissions;
       ws.origin = task->origin_base;
       ws.origin_limit = task->origin_limit;
-      ws.chain_pos.assign(ctx.chain_pos.begin(), ctx.chain_pos.end());
-      ws.chain_live.clear();
-      for (const std::vector<uint32_t>& parent_live : ctx.chain_live) {
-        ws.chain_live.push_back(&parent_live);
-      }
-      RunTask(ws, chain.empty() ? *base : chain.back(), *task);
+      RunTask(ws, *task);
       ws.task = nullptr;
       ++ws.stats.tasks_executed;
     };
@@ -1402,11 +1390,17 @@ TopkResult TopkSearch::Run() {
     if (pos_positive_[pos] != 0) positive_positions_.push_back(pos);
   }
   np_ = CountClassRows(data_, consequent_);
+  item_support_.resize(data_.num_items());
+  for (ItemId item = 0; item < data_.num_items(); ++item) {
+    item_support_[item] = data_.ItemSupport(item);
+  }
+  item_words_ = (data_.num_items() + 63) / 64;
+  row_words_ = (data_.num_rows() + 63) / 64;
   lists_.assign(data_.num_rows(), {});
   shared_ = std::make_unique<SharedTopk>(data_.num_rows(), opt_.k,
                                          initial_minsup_);
 
-  num_workers_ = ResolveThreadCount(opt_.RequestedThreads(),
+  num_workers_ = ResolveThreadCount(opt_.threads,
                                     std::thread::hardware_concurrency());
 
   if (opt_.seed_single_items) SeedSingleItems(frequent);
@@ -1416,23 +1410,7 @@ TopkResult TopkSearch::Run() {
     // The root item set is (near-)dense by construction; descendants
     // re-decide their representation per node as I(X) shrinks.
     const RowSet root_items = RowSet::FromBitset(frequent);
-    switch (opt_.backend) {
-      case TopkMinerOptions::Backend::kPrefixTree: {
-        TreeProjection root(PrefixTree::BuildRoot(data_, order_, frequent));
-        MineRoot(root, root_items, items_count);
-        break;
-      }
-      case TopkMinerOptions::Backend::kBitset: {
-        BitsetProjection root(&data_, &order_);
-        MineRoot(root, root_items, items_count);
-        break;
-      }
-      case TopkMinerOptions::Backend::kVector: {
-        VectorProjection root(&data_, &order_, frequent);
-        MineRoot(root, root_items, items_count);
-        break;
-      }
-    }
+    MineRoot(root_items, items_count);
   }
 
   // Deterministic merge: replay every recorded emission in canonical
@@ -1462,15 +1440,6 @@ TopkResult TopkSearch::Run() {
 Status TopkMinerOptions::Validate() const {
   if (k < 1) {
     return Status::InvalidArgument("TopkMinerOptions: k must be >= 1");
-  }
-  if (hybrid_threads != kThreadsUnset && threads != 1 &&
-      threads != hybrid_threads) {
-    return Status::InvalidArgument(
-        "TopkMinerOptions: `threads` (" + std::to_string(threads) +
-        ") conflicts with the deprecated `hybrid_threads` alias (" +
-        std::to_string(hybrid_threads) +
-        "); set only `threads` (the alias used to win silently, hiding the "
-        "conflicting request)");
   }
   if (shard_hooks != nullptr && row_order != RowOrder::kNatural) {
     return Status::InvalidArgument(

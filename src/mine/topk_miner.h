@@ -55,13 +55,6 @@ struct TopkMinerOptions {
   /// Minimum rule support, counted over rows of the consequent class.
   uint32_t min_support = 1;
 
-  enum class Backend {
-    kPrefixTree,  // projected prefix trees (the paper's implementation)
-    kBitset,      // packed-bitset per-candidate intersection counting
-    kVector,      // explicit projected transposed tables (FARMER-style)
-  };
-  Backend backend = Backend::kPrefixTree;
-
   enum class RowOrder {
     /// Class dominant, ascending frequent-item count within each class
     /// (the paper's ORD, §4.1.2).
@@ -91,31 +84,15 @@ struct TopkMinerOptions {
   /// stats.timed_out (results are then incomplete).
   Deadline deadline;
 
-  /// Worker threads, honored by both MineTopkRGS and MineTopkRGSHybrid.
-  /// MineTopkRGS turns the first level of the row-enumeration tree into
-  /// subtree tasks drained through work-stealing deques (owner-LIFO /
-  /// thief-FIFO, with dynamic splitting once a worker starves), all
-  /// sharing the per-row top-k pruning thresholds through epoch-stamped
-  /// snapshots; the hybrid miner fans its per-item partitions over the
-  /// same number of workers. 0 = one thread per hardware core (clamped to
+  /// Worker threads. MineTopkRGS turns the first level of the
+  /// row-enumeration tree into subtree tasks drained through work-stealing
+  /// deques (owner-LIFO / thief-FIFO, with dynamic splitting once a worker
+  /// starves), all sharing the per-row top-k pruning thresholds through
+  /// epoch-stamped snapshots. 0 = one thread per hardware core (clamped to
   /// at least 1 — see ResolveThreadCount). Results are bit-for-bit
   /// deterministic regardless of the thread count (search statistics such
   /// as nodes_visited depend on pruning timing and are not).
   uint32_t threads = 1;
-
-  /// Deprecated alias for `threads` (historically this field only applied
-  /// to MineTopkRGSHybrid). Setting it while `threads` keeps its default
-  /// is honored for old call sites; setting BOTH to conflicting values is
-  /// an InvalidArgument caught by Validate(). New code should set
-  /// `threads`.
-  static constexpr uint32_t kThreadsUnset = 0xffffffffu;
-  uint32_t hybrid_threads = kThreadsUnset;
-
-  /// The thread count requested, resolving the deprecated alias (but not
-  /// the 0 = hardware-default convention).
-  uint32_t RequestedThreads() const {
-    return hybrid_threads != kThreadsUnset ? hybrid_threads : threads;
-  }
 
   /// Serial warm-up budget for the parallel miner: before any worker
   /// thread starts, the calling thread drains first-level subtree tasks in
@@ -147,11 +124,7 @@ struct TopkMinerOptions {
   const ShardHooks* shard_hooks = nullptr;
 
   /// Rejects contradictory option combinations instead of silently picking
-  /// a winner: k == 0, or `threads` and the deprecated `hybrid_threads`
-  /// alias both set to different values (historically the alias won,
-  /// which masked caller bugs). `threads` left at its default of 1 plus an
-  /// assigned alias is NOT a conflict — that is exactly the legacy calling
-  /// convention the alias exists for.
+  /// a winner: k == 0, or shard hooks with a row order other than kNatural.
   Status Validate() const;
 };
 
@@ -164,6 +137,29 @@ inline uint32_t ResolveThreadCount(uint32_t requested,
                                    uint32_t hardware_hint) {
   if (requested != 0) return requested;
   return hardware_hint >= 1 ? hardware_hint : 1;
+}
+
+/// Step 10 of MineTopkRGS needs freq(p) = |I(X) ∩ items(p)| for every
+/// candidate row p of a node, and counts it whichever way costs fewer
+/// word/id operations there:
+///  - per candidate: one RowSet::IntersectCount of I(X) against each
+///    candidate's row bitmap — |I(X)| probes when I(X) is sparse, one pass
+///    over the item-universe words when it is dense;
+///  - from postings: one walk over the row bitmap of every item of I(X),
+///    bumping a per-row counter, and a second walk to reset it — twice the
+///    items' total support plus their row-bitmap words.
+/// Returns true when the postings walk is strictly cheaper. Both methods
+/// count exactly, so the choice moves speed only, never output. The answer
+/// is monotone in `support_sum`: a caller may first ask with 0 (a lower
+/// bound on the postings cost) and total the supports only when that
+/// answer is true.
+inline bool CountFreqFromPostings(uint64_t candidates, uint64_t items,
+                                  bool items_sparse, uint64_t item_words,
+                                  uint64_t support_sum, uint64_t row_words) {
+  const uint64_t per_candidate =
+      candidates * (items_sparse ? items : item_words);
+  const uint64_t postings = 2 * (support_sum + items * row_words);
+  return postings < per_candidate;
 }
 
 /// A discovered rule group shared between the rows it covers.

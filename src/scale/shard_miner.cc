@@ -114,7 +114,6 @@ ShardResult MineShard(const TransposedView& view, const ShardPlan& plan,
   TopkMinerOptions mine_options;
   mine_options.k = plan.k;
   mine_options.min_support = plan.initial_min_support;
-  mine_options.backend = options.backend;
   mine_options.row_order = TopkMinerOptions::RowOrder::kNatural;
   mine_options.threads = options.threads;
   mine_options.deadline = options.deadline;

@@ -21,7 +21,6 @@ struct ShardMineOptions {
   /// shards themselves run sequentially so only one dense suffix dataset
   /// is ever resident.
   uint32_t threads = 1;
-  TopkMinerOptions::Backend backend = TopkMinerOptions::Backend::kPrefixTree;
   /// Per-shard wall-clock budget; an expiry marks stats.timed_out and the
   /// merged output is then incomplete (never silently wrong).
   Deadline deadline;

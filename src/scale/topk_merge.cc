@@ -283,6 +283,8 @@ StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,
     aggregate.tasks_executed += result.stats.tasks_executed;
     aggregate.tasks_spawned += result.stats.tasks_spawned;
     aggregate.tasks_stolen += result.stats.tasks_stolen;
+    aggregate.freq_scans += result.stats.freq_scans;
+    aggregate.postings_scans += result.stats.postings_scans;
     aggregate.timed_out = aggregate.timed_out || result.stats.timed_out;
     results.push_back(std::move(result));
   }

@@ -32,7 +32,6 @@
 #include "mine/charm.h"
 #include "mine/closet.h"
 #include "mine/farmer.h"
-#include "mine/hybrid_miner.h"
 #include "mine/miner_common.h"
 #include "mine/naive_miner.h"
 #include "mine/prefix_tree.h"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "classify/irg.h"
+#include "mine/miner_common.h"
 #include "test_util.h"
 
 namespace topkrgs {
@@ -149,6 +150,37 @@ TEST(TrainIrgTest, UpperBoundRulesClassifySeparableData) {
   CbaClassifier clf = TrainIrg(d, opt);
   for (RowId r = 0; r < d.num_rows(); ++r) {
     EXPECT_EQ(clf.Predict(d.row_bitset(r)), d.label(r));
+  }
+}
+
+TEST(TrainIrgTest, MinsupRoundsTheClassFraction) {
+  // frac 0.7 of a class of n rows must mine at minsup round(0.7 n): item 0
+  // covers one class row fewer than that, so no IRG rule may use it, while
+  // item 1 covers exactly that many. At n = 90 a truncating conversion of
+  // 0.7 * 90 = 62.99999999999999 mined at 62 and let item 0 in.
+  for (const uint32_t n : {10u, 90u}) {
+    const uint32_t minsup = MinSupportFromFrac(0.7, n);
+    ASSERT_EQ(minsup, n == 10 ? 7u : 63u);
+    std::vector<std::vector<ItemId>> rows(n);
+    std::vector<ClassLabel> labels(n, 1);
+    for (uint32_t r = 0; r < minsup - 1; ++r) rows[r].push_back(0);
+    for (uint32_t r = n - minsup; r < n; ++r) rows[r].push_back(1);
+    for (int i = 0; i < 4; ++i) {
+      rows.push_back({2});
+      labels.push_back(0);
+    }
+    const DiscreteDataset d(3, std::move(rows), std::move(labels));
+    IrgOptions opt;
+    opt.min_support_frac = 0.7;
+    const CbaClassifier clf = TrainIrg(d, opt);
+    bool item1_rule = false;
+    for (const Rule& rule : clf.rules()) {
+      if (rule.consequent != 1) continue;
+      EXPECT_GE(rule.support, minsup) << "n=" << n;
+      EXPECT_FALSE(rule.antecedent.Test(0)) << "n=" << n;
+      item1_rule = item1_rule || rule.antecedent.Test(1);
+    }
+    EXPECT_TRUE(item1_rule) << "n=" << n;
   }
 }
 

@@ -87,7 +87,7 @@ TEST_F(CliCommandsTest, MineTopk) {
 
 TEST_F(CliCommandsTest, MineEveryAlgorithm) {
   for (const char* algo :
-       {"topk", "hybrid", "farmer", "charm", "closet", "carpenter"}) {
+       {"topk", "farmer", "charm", "closet", "carpenter"}) {
     EXPECT_TRUE(RunMineCommand({"--data", train_, "--algorithm", algo,
                                 "--budget", "10", "--max-print", "1"})
                     .ok())

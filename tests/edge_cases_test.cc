@@ -6,7 +6,6 @@
 #include "core/rule.h"
 #include "mine/charm.h"
 #include "mine/closet.h"
-#include "mine/hybrid_miner.h"
 #include "mine/naive_miner.h"
 #include "mine/topk_miner.h"
 #include "test_util.h"
@@ -65,16 +64,6 @@ TEST(EdgeCaseTest, MinerOnRowsWithNoItems) {
   EXPECT_TRUE(result.per_row[0].empty());
   ASSERT_EQ(result.per_row[1].size(), 1u);
   EXPECT_EQ(result.per_row[1][0]->support, 1u);
-}
-
-TEST(EdgeCaseTest, HybridOnRowsWithNoItems) {
-  DiscreteDataset d(3, {{}, {0}, {}}, {1, 1, 0});
-  TopkMinerOptions opt;
-  opt.k = 1;
-  opt.min_support = 1;
-  const TopkResult result = MineTopkRGSHybrid(d, 1, opt);
-  EXPECT_TRUE(result.per_row[0].empty());
-  ASSERT_EQ(result.per_row[1].size(), 1u);
 }
 
 TEST(EdgeCaseTest, CharmDeadlineFlagsTimeout) {

@@ -1,16 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "mine/carpenter.h"
-#include "mine/hybrid_miner.h"
 #include "mine/naive_miner.h"
-#include "mine/topk_miner.h"
 #include "test_util.h"
 
 namespace topkrgs {
 namespace {
 
 using testing_util::RandomDataset;
-using testing_util::SignificanceSeq;
 
 std::vector<testing_util::CanonicalGroup> CanonicalPatterns(
     const std::vector<ClosedPattern>& patterns) {
@@ -73,96 +70,6 @@ TEST(CarpenterTest, MinsupAboveRowsYieldsNothing) {
   CarpenterOptions opt;
   opt.min_support = 6;
   EXPECT_TRUE(MineCarpenter(d, opt).patterns.empty());
-}
-
-class HybridOracleTest
-    : public ::testing::TestWithParam<std::tuple<int, uint32_t, uint32_t>> {};
-
-TEST_P(HybridOracleTest, MatchesRowEnumerationMiner) {
-  const auto [seed, k, minsup] = GetParam();
-  DiscreteDataset d = RandomDataset(static_cast<uint64_t>(seed), 10, 12, 0.4);
-  for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
-    TopkMinerOptions opt;
-    opt.k = k;
-    opt.min_support = minsup;
-    const TopkResult expected = MineTopkRGS(d, cls, opt);
-    const TopkResult hybrid = MineTopkRGSHybrid(d, cls, opt);
-    for (RowId r = 0; r < d.num_rows(); ++r) {
-      ASSERT_EQ(SignificanceSeq(hybrid.per_row[r]),
-                SignificanceSeq(expected.per_row[r]))
-          << "seed=" << seed << " k=" << k << " minsup=" << minsup
-          << " cls=" << int(cls) << " row=" << r;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, HybridOracleTest,
-    ::testing::Combine(::testing::Range(0, 10), ::testing::Values(1u, 3u),
-                       ::testing::Values(1u, 2u, 3u)));
-
-TEST(HybridTest, GroupsAreValidGlobally) {
-  DiscreteDataset d = RandomDataset(77, 11, 13, 0.45);
-  TopkMinerOptions opt;
-  opt.k = 3;
-  opt.min_support = 2;
-  const TopkResult result = MineTopkRGSHybrid(d, 1, opt);
-  const Bitset class_rows = d.ClassRowset(1);
-  for (RowId r = 0; r < d.num_rows(); ++r) {
-    for (const RuleGroupPtr& g : result.per_row[r]) {
-      // Supports are global, not per-partition.
-      EXPECT_EQ(d.ItemSupportSet(g->antecedent), g->row_support);
-      EXPECT_EQ(g->antecedent_support, g->row_support.Count());
-      EXPECT_EQ(g->support, g->row_support.IntersectCount(class_rows));
-      EXPECT_TRUE(g->row_support.Test(r));
-    }
-  }
-}
-
-TEST(HybridTest, ParallelMatchesSerial) {
-  DiscreteDataset d = RandomDataset(91, 12, 14, 0.4);
-  TopkMinerOptions serial;
-  serial.k = 3;
-  serial.min_support = 2;
-  TopkMinerOptions parallel = serial;
-  parallel.hybrid_threads = 4;
-  const TopkResult a = MineTopkRGSHybrid(d, 1, serial);
-  const TopkResult b = MineTopkRGSHybrid(d, 1, parallel);
-  for (RowId r = 0; r < d.num_rows(); ++r) {
-    EXPECT_EQ(SignificanceSeq(a.per_row[r]), SignificanceSeq(b.per_row[r]))
-        << r;
-  }
-}
-
-TEST(HybridTest, ZeroThreadsMeansHardwareDefault) {
-  DiscreteDataset d = RandomDataset(92, 10, 12, 0.4);
-  TopkMinerOptions opt;
-  opt.k = 2;
-  opt.min_support = 2;
-  opt.hybrid_threads = 0;
-  const TopkResult via_hw = MineTopkRGSHybrid(d, 1, opt);
-  opt.hybrid_threads = 1;
-  const TopkResult via_one = MineTopkRGSHybrid(d, 1, opt);
-  for (RowId r = 0; r < d.num_rows(); ++r) {
-    EXPECT_EQ(SignificanceSeq(via_hw.per_row[r]),
-              SignificanceSeq(via_one.per_row[r]));
-  }
-}
-
-TEST(HybridTest, RunningExample) {
-  DiscreteDataset d = MakeRunningExampleDataset();
-  TopkMinerOptions opt;
-  opt.k = 1;
-  opt.min_support = 2;
-  const TopkResult hybrid = MineTopkRGSHybrid(d, 1, opt);
-  // r1/r2: abc -> C (conf 1.0, sup 2).
-  ASSERT_EQ(hybrid.per_row[0].size(), 1u);
-  EXPECT_EQ(hybrid.per_row[0][0]->support, 2u);
-  EXPECT_EQ(hybrid.per_row[0][0]->antecedent_support, 2u);
-  // r3: c -> C (conf 0.75, sup 3) per Definition 2.2.
-  ASSERT_EQ(hybrid.per_row[2].size(), 1u);
-  EXPECT_EQ(hybrid.per_row[2][0]->support, 3u);
-  EXPECT_EQ(hybrid.per_row[2][0]->antecedent_support, 4u);
 }
 
 }  // namespace

@@ -245,20 +245,20 @@ TopkResult MineExample(uint32_t k) {
 }
 
 TEST(TopkResultInvariantsTest, MinedResultsAreWellFormedForAllBackends) {
-  const DiscreteDataset d = RandomDataset(/*seed=*/29, /*num_rows=*/18,
-                                          /*num_items=*/28, /*density=*/0.3);
-  for (const auto backend : {TopkMinerOptions::Backend::kPrefixTree,
-                             TopkMinerOptions::Backend::kBitset,
-                             TopkMinerOptions::Backend::kVector}) {
+  // A narrow and a wide, sparse dataset, so both of Step 10's count
+  // methods (per candidate, from item postings) feed the checked lists.
+  const DiscreteDataset narrow = RandomDataset(
+      /*seed=*/29, /*num_rows=*/18, /*num_items=*/28, /*density=*/0.3);
+  const DiscreteDataset wide = testing_util::WideSparseDataset(
+      /*seed=*/29, /*num_rows=*/14, /*num_items=*/640);
+  for (const DiscreteDataset* d : {&narrow, &wide}) {
     for (const uint32_t k : {1u, 3u}) {
       TopkMinerOptions options;
       options.k = k;
-      options.backend = backend;
-      const TopkResult result = MineTopkRGS(d, /*consequent=*/0, options);
+      const TopkResult result = MineTopkRGS(*d, /*consequent=*/0, options);
       std::string error;
       EXPECT_TRUE(result.CheckInvariants(k, &error))
-          << "backend " << static_cast<int>(backend) << " k " << k << ": "
-          << error;
+          << d->num_items() << " items, k " << k << ": " << error;
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/dataset.h"
@@ -11,6 +12,7 @@
 #include "scale/stream_reader.h"
 #include "scale/topk_merge.h"
 #include "synth/scale_profile.h"
+#include "test_util.h"
 
 namespace topkrgs {
 namespace {
@@ -33,6 +35,26 @@ StreamedTable TableFromProfile(const ScaleProfile& profile) {
     AppendScaleRow(profile, row, &text);
   }
   return TableFromText(text);
+}
+
+/// The item-data text of an in-memory dataset, parsed over its own item
+/// universe.
+StreamedTable TableFromDataset(const DiscreteDataset& data) {
+  std::string text;
+  for (RowId r = 0; r < data.num_rows(); ++r) {
+    text += std::to_string(data.label(r)) + "\t";
+    const char* sep = "";
+    data.row_bitset(r).ForEach([&](size_t item) {
+      text += sep + std::to_string(item);
+      sep = " ";
+    });
+    text += "\n";
+  }
+  StreamReader::Options options;
+  options.num_items = data.num_items();
+  auto table_or = StreamReader::ParseItemData(text, options);
+  EXPECT_TRUE(table_or.ok()) << table_or.status().ToString();
+  return std::move(table_or).value();
 }
 
 TopkResult SingleShot(const TransposedView& view, ClassLabel consequent,
@@ -187,6 +209,33 @@ TEST(ShardMergeTest, DegenerateShapes) {
   CheckShardInvariance(single.View(), 1, 2, 1, {1, 2}, {1},
                        "single positive row");
 }
+
+/// Partition-and-merge oracle on a random grid (seed × k × minsup, both
+/// consequents): splitting the row enumeration into shards and merging
+/// them must match the single-shot row-enumeration miner at every shard
+/// count from 1 to one shard per row.
+class HybridOracleTest
+    : public ::testing::TestWithParam<std::tuple<int, uint32_t, uint32_t>> {};
+
+TEST_P(HybridOracleTest, MatchesRowEnumerationMiner) {
+  const auto [seed, k, minsup] = GetParam();
+  const DiscreteDataset data =
+      testing_util::RandomDataset(static_cast<uint64_t>(seed), 10, 12, 0.4);
+  const StreamedTable table = TableFromDataset(data);
+  for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
+    CheckShardInvariance(table.View(), cls, k, minsup,
+                         {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, {1},
+                         "seed=" + std::to_string(seed) +
+                             " k=" + std::to_string(k) +
+                             " minsup=" + std::to_string(minsup) +
+                             " cls=" + std::to_string(int{cls}));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, HybridOracleTest,
+    ::testing::Combine(::testing::Range(0, 10), ::testing::Values(1u, 3u),
+                       ::testing::Values(1u, 2u, 3u)));
 
 /// Reduced profile end-to-end — minutes-scale work, so tier-1 skips it;
 /// set TOPKRGS_SLOW_TESTS=1 (the ci.sh scale stage does) to run.

@@ -33,6 +33,33 @@ inline DiscreteDataset RandomDataset(uint64_t seed, uint32_t num_rows,
   return DiscreteDataset(num_items, std::move(rows), std::move(labels));
 }
 
+/// Deterministic wide, sparse dataset: `num_items` items (>= 512, so deep
+/// item sets turn sparse), each row holding a few items of a small shared
+/// pool spread over the universe plus one item of its own. The pool gives
+/// rule groups with support > 1; the width makes MineTopkRGS count some
+/// nodes per candidate and others from item postings (see
+/// CountFreqFromPostings). Needs num_rows + 1 < num_items / 12.
+inline DiscreteDataset WideSparseDataset(uint64_t seed, uint32_t num_rows,
+                                         uint32_t num_items) {
+  constexpr uint32_t kPool = 12;
+  const uint32_t stride = num_items / kPool;
+  Rng rng(seed);
+  std::vector<std::vector<ItemId>> rows(num_rows);
+  std::vector<ClassLabel> labels(num_rows);
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    rows[r].push_back(1 + r);  // below stride: never a pool item
+    for (uint32_t j = 1; j <= kPool; ++j) {
+      if (rng.NextBool(0.35)) rows[r].push_back(j * stride - 1);
+    }
+    labels[r] = rng.NextBool(0.5) ? 1 : 0;
+  }
+  if (num_rows >= 2) {
+    labels[0] = 1;
+    labels[1] = 0;
+  }
+  return DiscreteDataset(num_items, std::move(rows), std::move(labels));
+}
+
 /// Canonical form of a rule-group set for equality checks: sorted
 /// (antecedent items, support, antecedent_support) triples.
 struct CanonicalGroup {

@@ -12,6 +12,7 @@ namespace {
 using testing_util::RandomDataset;
 using testing_util::SignificanceSeq;
 using testing_util::SignificanceSeqValues;
+using testing_util::WideSparseDataset;
 
 Bitset NamedItems(const DiscreteDataset& d, const std::string& names) {
   Bitset b(d.num_items());
@@ -66,20 +67,40 @@ TEST(TopkMinerTest, RunningExampleTop1ClassNotC) {
 }
 
 TEST(TopkMinerTest, BothBackendsAgreeOnRunningExample) {
-  DiscreteDataset d = MakeRunningExampleDataset();
+  // Step 10 counts freq per candidate or from item postings, whichever is
+  // cheaper at the node (CountFreqFromPostings). Widening the running
+  // example's item universe from 10 to 1024 items (the new ones unused)
+  // shifts that choice towards postings; the groups must not move.
+  const DiscreteDataset d = MakeRunningExampleDataset();
+  std::vector<std::vector<ItemId>> rows;
+  for (RowId r = 0; r < d.num_rows(); ++r) {
+    rows.push_back(d.row_bitset(r).ToVector());
+  }
+  std::vector<ClassLabel> labels;
+  for (RowId r = 0; r < d.num_rows(); ++r) labels.push_back(d.label(r));
+  const DiscreteDataset wide(1024, std::move(rows), std::move(labels));
+  uint64_t narrow_postings = 0;
+  uint64_t wide_postings = 0;
   for (uint32_t k : {1u, 2u, 3u}) {
-    TopkMinerOptions tree_opt;
-    tree_opt.k = k;
-    tree_opt.min_support = 1;
-    TopkMinerOptions bit_opt = tree_opt;
-    bit_opt.backend = TopkMinerOptions::Backend::kBitset;
-    TopkResult a = MineTopkRGS(d, 1, tree_opt);
-    TopkResult b = MineTopkRGS(d, 1, bit_opt);
+    TopkMinerOptions opt;
+    opt.k = k;
+    opt.min_support = 1;
+    TopkResult a = MineTopkRGS(d, 1, opt);
+    TopkResult b = MineTopkRGS(wide, 1, opt);
+    narrow_postings += a.stats.postings_scans;
+    wide_postings += b.stats.postings_scans;
     for (RowId r = 0; r < d.num_rows(); ++r) {
-      EXPECT_EQ(SignificanceSeq(a.per_row[r]), SignificanceSeq(b.per_row[r]))
-          << "k=" << k << " row=" << r;
+      ASSERT_EQ(a.per_row[r].size(), b.per_row[r].size());
+      for (size_t i = 0; i < a.per_row[r].size(); ++i) {
+        EXPECT_EQ(a.per_row[r][i]->antecedent.ToVector(),
+                  b.per_row[r][i]->antecedent.ToVector())
+            << "k=" << k << " row=" << r << " rank=" << i;
+        EXPECT_EQ(a.per_row[r][i]->row_support, b.per_row[r][i]->row_support)
+            << "k=" << k << " row=" << r << " rank=" << i;
+      }
     }
   }
+  EXPECT_GT(wide_postings, narrow_postings);
 }
 
 /// Validates every invariant a top-k result must satisfy against the data.
@@ -134,22 +155,16 @@ TEST_P(TopkOracleTest, MatchesNaiveEnumeration) {
       RandomDataset(static_cast<uint64_t>(seed), 10, 12, 0.35 + 0.03 * (seed % 5));
   for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
     const auto oracle = NaiveTopkRGS(d, cls, minsup, k);
-    for (auto backend : {TopkMinerOptions::Backend::kPrefixTree,
-                         TopkMinerOptions::Backend::kBitset,
-                         TopkMinerOptions::Backend::kVector}) {
-      TopkMinerOptions opt;
-      opt.k = k;
-      opt.min_support = minsup;
-      opt.backend = backend;
-      TopkResult result = MineTopkRGS(d, cls, opt);
-      ValidateResult(d, cls, minsup, k, result);
-      for (RowId r = 0; r < d.num_rows(); ++r) {
-        ASSERT_EQ(SignificanceSeq(result.per_row[r]),
-                  SignificanceSeqValues(oracle[r]))
-            << "seed=" << seed << " k=" << k << " minsup=" << minsup
-            << " cls=" << int(cls) << " row=" << r
-            << " backend=" << int(backend);
-      }
+    TopkMinerOptions opt;
+    opt.k = k;
+    opt.min_support = minsup;
+    TopkResult result = MineTopkRGS(d, cls, opt);
+    ValidateResult(d, cls, minsup, k, result);
+    for (RowId r = 0; r < d.num_rows(); ++r) {
+      ASSERT_EQ(SignificanceSeq(result.per_row[r]),
+                SignificanceSeqValues(oracle[r]))
+          << "seed=" << seed << " k=" << k << " minsup=" << minsup
+          << " cls=" << int(cls) << " row=" << r;
     }
   }
 }
@@ -160,6 +175,59 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u, 4u),  // k
                        ::testing::Values(1u, 2u, 3u)   // minsup
                        ));
+
+TEST(TopkMinerTest, WideSparseMatchesOracleOnBothCountPaths) {
+  // Every other oracle sweep stays at <= 64 items, where I(X) is never a
+  // sparse RowSet; this one is wide enough that Step 10 takes both sides
+  // of CountFreqFromPostings, at one worker and under stealing.
+  uint64_t scans = 0;
+  uint64_t postings = 0;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const DiscreteDataset d = WideSparseDataset(seed, 13, 640);
+    for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
+      for (uint32_t k : {1u, 3u}) {
+        for (uint32_t minsup : {1u, 2u}) {
+          const auto oracle = NaiveTopkRGS(d, cls, minsup, k);
+          for (uint32_t threads : {1u, 4u}) {
+            TopkMinerOptions opt;
+            opt.k = k;
+            opt.min_support = minsup;
+            opt.threads = threads;
+            opt.warmup_nodes = 0;
+            const TopkResult result = MineTopkRGS(d, cls, opt);
+            scans += result.stats.freq_scans;
+            postings += result.stats.postings_scans;
+            ValidateResult(d, cls, minsup, k, result);
+            for (RowId r = 0; r < d.num_rows(); ++r) {
+              ASSERT_EQ(SignificanceSeq(result.per_row[r]),
+                        SignificanceSeqValues(oracle[r]))
+                  << "seed=" << seed << " cls=" << int(cls) << " k=" << k
+                  << " minsup=" << minsup << " threads=" << threads
+                  << " row=" << r;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(postings, 0u);        // counted from item postings
+  EXPECT_LT(postings, scans);     // and per candidate
+}
+
+TEST(TopkMinerTest, CountFreqFromPostingsPicksTheCheaperScan) {
+  // 100 candidates against a 3-item sparse I(X): 300 probes per candidate
+  // vs 2 * (support 30 + 3 items * 1 row word) = 66 for the postings walk.
+  EXPECT_TRUE(CountFreqFromPostings(100, 3, true, 16, 30, 1));
+  // Few candidates: per candidate wins.
+  EXPECT_FALSE(CountFreqFromPostings(5, 3, true, 16, 30, 1));
+  // A dense I(X) costs its item-universe words per candidate.
+  EXPECT_FALSE(CountFreqFromPostings(100, 600, false, 16, 3000, 1));
+  EXPECT_TRUE(CountFreqFromPostings(100, 20, false, 16, 40, 1));
+  // Wide row bitmaps make each posting walk expensive.
+  EXPECT_FALSE(CountFreqFromPostings(100, 3, true, 16, 30, 100));
+  // Monotone in support_sum: the zero-support bound is never stricter.
+  EXPECT_TRUE(CountFreqFromPostings(100, 3, true, 16, 0, 1));
+}
 
 class TopkAblationTest : public ::testing::TestWithParam<int> {};
 
@@ -211,12 +279,6 @@ TEST_P(TopkAblationTest, PruningTogglesPreserveResults) {
   {
     TopkMinerOptions o = base;
     o.row_order = TopkMinerOptions::RowOrder::kNatural;
-    variants.push_back(o);
-  }
-  {
-    TopkMinerOptions o = base;
-    o.row_order = TopkMinerOptions::RowOrder::kNatural;
-    o.backend = TopkMinerOptions::Backend::kBitset;
     variants.push_back(o);
   }
   for (size_t v = 0; v < variants.size(); ++v) {

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "classify/evaluator.h"
-#include "mine/hybrid_miner.h"
 #include "mine/naive_miner.h"
 #include "mine/topk_miner.h"
 #include "synth/generator.h"
@@ -84,17 +83,18 @@ TEST(TopkParallelTest, DeterministicOnSyntheticPipelineData) {
 }
 
 TEST(TopkParallelTest, DeterministicAcrossBackends) {
-  const DiscreteDataset data = RandomDataset(11, 28, 40, 0.35);
-  for (auto backend : {TopkMinerOptions::Backend::kPrefixTree,
-                       TopkMinerOptions::Backend::kBitset,
-                       TopkMinerOptions::Backend::kVector}) {
+  // Step 10 counts per candidate on the narrow dataset and partly from
+  // item postings on the wide one; either way, any thread count must
+  // reproduce the serial lists.
+  const DiscreteDataset narrow = RandomDataset(11, 28, 40, 0.35);
+  const DiscreteDataset wide = testing_util::WideSparseDataset(11, 24, 640);
+  for (const DiscreteDataset* data : {&narrow, &wide}) {
     TopkMinerOptions opt;
     opt.k = 4;
     opt.min_support = 2;
-    opt.backend = backend;
+    opt.warmup_nodes = 0;
     CheckThreadInvariance(
-        data, 1, opt,
-        "backend " + std::to_string(static_cast<int>(backend)));
+        *data, 1, opt, std::to_string(data->num_items()) + " items");
   }
 }
 
@@ -150,60 +150,6 @@ TEST(TopkParallelTest, ParallelResultMatchesOracle) {
           << "seed " << seed << " row " << r;
     }
   }
-}
-
-TEST(TopkParallelTest, HybridMinerHonorsThreadsField) {
-  const DiscreteDataset data = RandomDataset(13, 20, 24, 0.4);
-  TopkMinerOptions serial;
-  serial.k = 2;
-  serial.min_support = 2;
-  serial.threads = 1;
-  const TopkResult reference = MineTopkRGSHybrid(data, 1, serial);
-  TopkMinerOptions parallel = serial;
-  parallel.threads = 4;  // new field name; no hybrid_threads assignment
-  const TopkResult result = MineTopkRGSHybrid(data, 1, parallel);
-  ExpectIdenticalResults(reference, result, "hybrid threads=4");
-
-  TopkMinerOptions alias = serial;
-  alias.hybrid_threads = 4;  // deprecated alias must still be honored
-  const TopkResult alias_result = MineTopkRGSHybrid(data, 1, alias);
-  ExpectIdenticalResults(reference, alias_result, "hybrid alias threads=4");
-}
-
-TEST(TopkParallelTest, ConflictingThreadsAliasIsInvalidArgument) {
-  // Regression: the deprecated hybrid_threads alias used to silently
-  // override an explicitly set `threads`, hiding conflicting requests.
-  // The legacy calling convention (alias assigned, `threads` left at its
-  // default) must keep working; an actual conflict must be rejected.
-  TopkMinerOptions opt;
-  EXPECT_TRUE(opt.Validate().ok());
-
-  opt.hybrid_threads = 2;  // legacy call site: only the alias assigned
-  EXPECT_TRUE(opt.Validate().ok());
-  EXPECT_EQ(opt.RequestedThreads(), 2u);
-
-  opt.threads = 8;  // now both are set, to different values
-  const Status conflict = opt.Validate();
-  EXPECT_FALSE(conflict.ok());
-  EXPECT_EQ(conflict.code(), StatusCode::kInvalidArgument);
-
-  opt.hybrid_threads = 8;  // both set but agreeing: no conflict
-  EXPECT_TRUE(opt.Validate().ok());
-  EXPECT_EQ(opt.RequestedThreads(), 8u);
-
-  opt.hybrid_threads = TopkMinerOptions::kThreadsUnset;
-  EXPECT_TRUE(opt.Validate().ok());
-  EXPECT_EQ(opt.RequestedThreads(), 8u);
-}
-
-TEST(TopkParallelTest, ConflictingThreadsAliasAbortsTheMiner) {
-  const DiscreteDataset data = RandomDataset(5, 10, 12, 0.4);
-  TopkMinerOptions opt;
-  opt.k = 1;
-  opt.threads = 8;
-  opt.hybrid_threads = 2;
-  EXPECT_DEATH(MineTopkRGS(data, 1, opt), "conflicts");
-  EXPECT_DEATH(MineTopkRGSHybrid(data, 1, opt), "conflicts");
 }
 
 TEST(TopkParallelTest, ResolveThreadCountClampsAutoToAtLeastOne) {
