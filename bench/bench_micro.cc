@@ -193,8 +193,7 @@ void BM_MineTopkRgsTiny(benchmark::State& state) {
   Pipeline p = PreparePipeline(data.train, data.test);
   TopkMinerOptions opt;
   opt.k = static_cast<uint32_t>(state.range(0));
-  opt.min_support =
-      std::max<uint32_t>(1, 7 * p.train.ClassCounts()[1] / 10);
+  opt.min_support = MinSupportFromFrac(0.7, p.train.ClassCounts()[1]);
   for (auto _ : state) {
     benchmark::DoNotOptimize(MineTopkRGS(p.train, 1, opt));
   }

@@ -43,6 +43,21 @@ struct MinerStats {
   uint64_t postings_scans = 0;
   double seconds = 0.0;
   bool timed_out = false;
+
+  /// Accumulates another run's search counters and timeout flag; `seconds`
+  /// is left alone (callers time the whole run themselves).
+  void Add(const MinerStats& other) {
+    nodes_visited += other.nodes_visited;
+    groups_emitted += other.groups_emitted;
+    pruned_backward += other.pruned_backward;
+    pruned_bounds += other.pruned_bounds;
+    tasks_executed += other.tasks_executed;
+    tasks_spawned += other.tasks_spawned;
+    tasks_stolen += other.tasks_stolen;
+    freq_scans += other.freq_scans;
+    postings_scans += other.postings_scans;
+    timed_out = timed_out || other.timed_out;
+  }
 };
 
 /// A generic mining result: the discovered rule groups (upper bounds) plus

@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "mine/topk_lists.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/hot_path.h"
@@ -24,17 +25,6 @@
 namespace topkrgs {
 
 namespace {
-
-/// A rule group shared between the per-row lists of every row it covers.
-/// Seeded single-item groups start `provisional`: their antecedent is the
-/// single item, not yet the closure (upper bound); they are upgraded in
-/// place when the real upper bound is emitted, or closed explicitly in the
-/// finalization pass.
-struct GroupHandle {
-  RuleGroup group;
-  bool provisional = false;
-};
-using HandlePtr = std::shared_ptr<GroupHandle>;
 
 /// Canonical origin of a shared-list entry: where it falls in the replay
 /// (merge) order. Seeds replay first (origin 0), then the root node's
@@ -394,6 +384,19 @@ class TopkSearch {
   TKRGS_HOT void CountFreq(WorkerState& ws, std::span<const uint32_t> cand,
                            const RowSet& items, std::vector<uint32_t>* freq);
 
+  /// The rest of Step 10, shared by Visit and MineRoot: candidates holding
+  /// all of I(X) are absorbed into X (pushed onto the DFS stack — they
+  /// appear in every descendant), candidates holding part of it stay live
+  /// with their counts, and suffix_pos[i] counts the positive live rows at
+  /// i and after (so suffix_pos[0] is mp, the rows that can still raise a
+  /// descendant's support).
+  TKRGS_HOT void ScanAndAbsorb(WorkerState& ws, std::span<const uint32_t> cand,
+                               const RowSet& items, uint32_t items_count,
+                               std::vector<uint32_t>* absorbed,
+                               std::vector<uint32_t>* live,
+                               std::vector<uint32_t>* live_freq,
+                               std::vector<uint32_t>* suffix_pos);
+
   /// Steps 7 and 14 for child X ∪ {live[i]} of the current node X: the
   /// backward check, then the descent. `items` is I(X); it must not be
   /// ws.rowset_scratch[ws.depth], the slot the child's item set goes to.
@@ -452,12 +455,9 @@ class TopkSearch {
                           const Thresh& cut, uint32_t origin) const;
   TKRGS_HOT void EmitAt(WorkerState& ws, const RowSet& items,
                         const Thresh& cut);
-  void ReplayInsert(uint32_t pos, const HandlePtr& handle);
   void ReplayEmissions(const std::vector<Emission>& emissions);
   void ReplayTask(const SubtreeTask& task);
-  uint32_t FinalEffectiveMinsup() const;
   void Finalize(const Bitset& frequent_items, TopkResult* result);
-  void MergeStats(const MinerStats& s);
 
   bool IsPos(uint32_t pos) const { return pos_positive_[pos] != 0; }
 
@@ -492,7 +492,7 @@ class TopkSearch {
 
   // Deterministic-merge state; only touched single-threaded (seeding
   // before the workers start, replay after they join).
-  std::vector<std::vector<HandlePtr>> lists_;
+  TopkLists lists_;
   std::vector<Emission> root_emissions_;
 
   // First-level tasks in canonical order; split-off descendants hang off
@@ -517,59 +517,10 @@ class TopkSearch {
   MinerStats stats_;
 };
 
-void TopkSearch::MergeStats(const MinerStats& s) {
-  stats_.nodes_visited += s.nodes_visited;
-  stats_.groups_emitted += s.groups_emitted;
-  stats_.pruned_backward += s.pruned_backward;
-  stats_.pruned_bounds += s.pruned_bounds;
-  stats_.tasks_executed += s.tasks_executed;
-  stats_.tasks_spawned += s.tasks_spawned;
-  stats_.tasks_stolen += s.tasks_stolen;
-  stats_.freq_scans += s.freq_scans;
-  stats_.postings_scans += s.postings_scans;
-}
-
-/// Replay-side insert: exactly the paper's per-row list maintenance, run
-/// single-threaded over the canonical emission order. Dedups by antecedent
-/// support set, upgrading a provisional seed in place when the matching
-/// upper bound arrives (§4.1.1, first optimization); ties on significance
-/// keep the earlier-discovered group, matching CBA's "<" order.
-void TopkSearch::ReplayInsert(uint32_t pos, const HandlePtr& handle) {
-  auto& list = lists_[pos];
-  const RuleGroup& g = handle->group;
-
-  for (auto& existing : list) {
-    RuleGroup& e = existing->group;
-    if (e.support == g.support && e.antecedent_support == g.antecedent_support &&
-        e.row_support == g.row_support) {
-      if (existing->provisional && !handle->provisional) {
-        e.antecedent = g.antecedent;
-        existing->provisional = false;
-      }
-      return;
-    }
-  }
-
-  if (list.size() >= opt_.k) {
-    const RuleGroup& kth = list.back()->group;
-    if (CompareSignificance(g.support, g.antecedent_support, kth.support,
-                            kth.antecedent_support) <= 0) {
-      return;  // not more significant than the current k-th entry
-    }
-  }
-  auto it = std::find_if(list.begin(), list.end(), [&](const HandlePtr& e) {
-    return CompareSignificance(g.support, g.antecedent_support,
-                               e->group.support,
-                               e->group.antecedent_support) > 0;
-  });
-  list.insert(it, handle);
-  if (list.size() > opt_.k) list.pop_back();
-}
-
 void TopkSearch::ReplayEmissions(const std::vector<Emission>& emissions) {
   for (const Emission& emission : emissions) {
     for (uint32_t pos : emission.covered) {
-      ReplayInsert(pos, emission.handle);
+      lists_.Insert(pos, emission.handle);
     }
   }
 }
@@ -586,14 +537,14 @@ void TopkSearch::ReplayTask(const SubtreeTask& task) {
                     "spawn marker beyond the recorded emission stream");
     for (; e < task.spawn_at[s]; ++e) {
       for (uint32_t pos : task.emissions[e].covered) {
-        ReplayInsert(pos, task.emissions[e].handle);
+        lists_.Insert(pos, task.emissions[e].handle);
       }
     }
     ReplayTask(*task.spawned[s]);
   }
   for (; e < task.emissions.size(); ++e) {
     for (uint32_t pos : task.emissions[e].covered) {
-      ReplayInsert(pos, task.emissions[e].handle);
+      lists_.Insert(pos, task.emissions[e].handle);
     }
   }
 }
@@ -604,9 +555,9 @@ void TopkSearch::SeedSingleItems(const Bitset& frequent_items) {
     const ItemId item = static_cast<ItemId>(item_index);
     if (hooks_ != nullptr && hooks_->contained_outside &&
         ContainedOutside(RowSet::SparseFrom({item}, data_.num_items()))) {
-      // Sharded mining: a pre-suffix row holds this item, so an earlier
-      // shard plants (and eventually closes) the identical seed; the merge
-      // reconstructs seeds from the global table anyway (DESIGN.md §14).
+      // Sharded mining: a pre-suffix row holds this item, so the suffix
+      // sees only part of its rows. Shard 0 mines the whole dataset and
+      // plants (and closes) the real seed (DESIGN.md §14).
       return;
     }
     const Bitset& rows = data_.item_rows(item);
@@ -622,7 +573,7 @@ void TopkSearch::SeedSingleItems(const Bitset& frequent_items) {
     rows.ForEach([&](size_t row) {
       if (data_.label(static_cast<RowId>(row)) != consequent_) return;
       const uint32_t pos = position_of_[row];
-      ReplayInsert(pos, handle);
+      lists_.Insert(pos, handle);
       shared_->Insert(pos, handle, /*origin=*/0);  // seeds replay first
     });
   });
@@ -650,7 +601,8 @@ void TopkSearch::MaybeRaiseMinsup(WorkerState& ws) {
   // than every k-th entry. (The paper raises to lowest+1; that extra level
   // would also prune exact significance ties, which the deterministic
   // replay merge must still get to see — the reported effective minimum
-  // support is recomputed with the paper's rule in FinalEffectiveMinsup.)
+  // support is recomputed with the paper's rule by
+  // TopkLists::EffectiveMinsup.)
   if (lowest != UINT32_MAX && lowest > shared_->minsup()) {
     shared_->RaiseMinsup(lowest);
   }
@@ -778,41 +730,22 @@ void TopkSearch::Visit(WorkerState& ws, std::span<const uint32_t> cand,
 
   // Step 10: scan TT'|_X — frequencies, then absorb rows occurring in every
   // tuple (they appear in all descendants).
-  PooledVector<uint32_t> cand_freq_lease(&ws.scratch);
+  PooledVector<uint32_t> absorbed_lease(&ws.scratch);
   PooledVector<uint32_t> live_lease(&ws.scratch);
   PooledVector<uint32_t> freq_lease(&ws.scratch);
-  PooledVector<uint32_t> absorbed_lease(&ws.scratch);
-  std::vector<uint32_t>& cand_freq = *cand_freq_lease;
+  PooledVector<uint32_t> suffix_lease(&ws.scratch);
+  std::vector<uint32_t>& absorbed = *absorbed_lease;
   std::vector<uint32_t>& live = *live_lease;
   std::vector<uint32_t>& live_freq = *freq_lease;
-  std::vector<uint32_t>& absorbed = *absorbed_lease;
-  CountFreq(ws, cand, items, &cand_freq);
-  uint32_t mp = 0;
-  for (size_t c = 0; c < cand.size(); ++c) {
-    const uint32_t p = cand[c];
-    const uint32_t f = cand_freq[c];
-    if (f == items_count) {
-      // NOLINT(hotpath: pooled lease retains capacity across nodes)
-      absorbed.push_back(p);
-    } else if (f > 0) {
-      // NOLINT(hotpath: pooled lease retains capacity across nodes)
-      live.push_back(p);
-      live_freq.push_back(f);  // NOLINT(hotpath: pooled lease, as above)
-      if (IsPos(p)) ++mp;
-    }
-  }
-  for (uint32_t p : absorbed) {
-    ws.in_x[p] = 1;
-    // NOLINT(hotpath: DFS stack retains capacity; amortized O(1))
-    ws.x_stack.push_back(p);
-    IsPos(p) ? ++ws.xp : ++ws.xn;
-  }
+  std::vector<uint32_t>& suffix_pos = *suffix_lease;
+  ScanAndAbsorb(ws, cand, items, items_count, &absorbed, &live, &live_freq,
+                &suffix_pos);
 
-  // Step 11: tight bounds (mp = candidate consequent rows that can still
-  // appear in a descendant antecedent support set).
-  const bool pruned =
-      opt_.use_bound_pruning &&
-      Hopeless(ws.xp + mp, ws.xn, ComputeCut(ws.x_stack, live), ws.origin);
+  // Step 11: tight bounds (suffix_pos[0] = mp, the candidate consequent
+  // rows that can still appear in a descendant antecedent support set).
+  const bool pruned = opt_.use_bound_pruning &&
+                      Hopeless(ws.xp + suffix_pos[0], ws.xn,
+                               ComputeCut(ws.x_stack, live), ws.origin);
   if (pruned) {
     ++ws.stats.pruned_bounds;
   } else {
@@ -820,16 +753,6 @@ void TopkSearch::Visit(WorkerState& ws, std::span<const uint32_t> cand,
     // Only nodes with X == R(I(X)) carry a rule group; when the backward
     // check failed we are in a redundant subtree that emits nothing.
     if (closed_on_left) EmitAt(ws, items, cut);
-
-    // Positive candidates at positions after live[i] — the only rows that
-    // can still raise a child subtree's support beyond X.
-    PooledVector<uint32_t> suffix_lease(&ws.scratch);
-    std::vector<uint32_t>& suffix_pos = *suffix_lease;
-    // NOLINT(hotpath: pooled lease retains capacity across nodes)
-    suffix_pos.assign(live.size() + 1, 0);
-    for (size_t i = live.size(); i-- > 0;) {
-      suffix_pos[i] = suffix_pos[i + 1] + (IsPos(live[i]) ? 1 : 0);
-    }
 
     // Step 14: enumerate children in ORD order.
     for (size_t i = 0;
@@ -922,6 +845,43 @@ void TopkSearch::CountFreq(WorkerState& ws, std::span<const uint32_t> cand,
   items.ForEach([&](size_t item) {
     rows_of(item).ForEach([count](size_t row) { count[row] = 0; });
   });
+}
+
+void TopkSearch::ScanAndAbsorb(WorkerState& ws,
+                               std::span<const uint32_t> cand,
+                               const RowSet& items, uint32_t items_count,
+                               std::vector<uint32_t>* absorbed,
+                               std::vector<uint32_t>* live,
+                               std::vector<uint32_t>* live_freq,
+                               std::vector<uint32_t>* suffix_pos) {
+  PooledVector<uint32_t> cand_freq_lease(&ws.scratch);
+  std::vector<uint32_t>& cand_freq = *cand_freq_lease;
+  CountFreq(ws, cand, items, &cand_freq);
+  for (size_t c = 0; c < cand.size(); ++c) {
+    const uint32_t p = cand[c];
+    const uint32_t f = cand_freq[c];
+    if (f == items_count) {
+      // NOLINT(hotpath: pooled lease retains capacity across nodes)
+      absorbed->push_back(p);
+    } else if (f > 0) {
+      // NOLINT(hotpath: pooled lease retains capacity across nodes)
+      live->push_back(p);
+      live_freq->push_back(f);  // NOLINT(hotpath: pooled lease, as above)
+    }
+  }
+  for (uint32_t p : *absorbed) {
+    ws.in_x[p] = 1;
+    // NOLINT(hotpath: DFS stack retains capacity; amortized O(1))
+    ws.x_stack.push_back(p);
+    IsPos(p) ? ++ws.xp : ++ws.xn;
+  }
+  // Positive candidates at positions after live[i] — the only rows that
+  // can still raise a child subtree's support beyond X.
+  // NOLINT(hotpath: pooled lease retains capacity across nodes)
+  suffix_pos->assign(live->size() + 1, 0);
+  for (size_t i = live->size(); i-- > 0;) {
+    (*suffix_pos)[i] = (*suffix_pos)[i + 1] + (IsPos((*live)[i]) ? 1 : 0);
+  }
 }
 
 void TopkSearch::Descend(WorkerState& ws, const RowSet& items,
@@ -1092,53 +1052,29 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
     if (opt_.use_bound_pruning && Hopeless(rp, 0, cut, root_ws.origin)) {
       ++root_ws.stats.pruned_bounds;
     } else {
-      std::vector<uint32_t> cand_freq;
-      CountFreq(root_ws, cand, items, &cand_freq);
-      std::vector<uint32_t> live;
-      std::vector<uint32_t> live_freq;
       std::vector<uint32_t> absorbed;
-      uint32_t mp = 0;
-      for (size_t c = 0; c < cand.size(); ++c) {
-        const uint32_t p = cand[c];
-        const uint32_t f = cand_freq[c];
-        if (f == items_count) {
-          absorbed.push_back(p);
-        } else if (f > 0) {
-          live.push_back(p);
-          live_freq.push_back(f);
-          if (IsPos(p)) ++mp;
-        }
-      }
-      for (uint32_t p : absorbed) {
-        root_ws.in_x[p] = 1;
-        root_ws.x_stack.push_back(p);
-        IsPos(p) ? ++root_ws.xp : ++root_ws.xn;
-      }
+      ScanAndAbsorb(root_ws, cand, items, items_count, &absorbed,
+                    &root_ctx->live, &root_ctx->live_freq,
+                    &root_ctx->suffix_pos);
 
       const bool pruned =
           opt_.use_bound_pruning &&
-          Hopeless(root_ws.xp + mp, root_ws.xn,
-                   ComputeCut(root_ws.x_stack, live), root_ws.origin);
+          Hopeless(root_ws.xp + root_ctx->suffix_pos[0], root_ws.xn,
+                   ComputeCut(root_ws.x_stack, root_ctx->live),
+                   root_ws.origin);
       if (pruned) {
         ++root_ws.stats.pruned_bounds;
       } else {
-        // Sharded mining: the root's group (rows containing every frequent
-        // item) belongs to the shard owning the earliest such row; a guard
-        // hit means a pre-suffix row contains the full frequent set and an
-        // earlier shard (or the merge's own root pass) emits it.
+        // Sharded mining: the root's group is the rows containing every
+        // frequent item. A guard hit means a pre-suffix row is one of them,
+        // so the suffix sees only part of the group; shard 0 mines the
+        // whole dataset and emits the real one (DESIGN.md §14).
         if (!ContainedOutside(items)) EmitAt(root_ws, items, cut);
 
-        root_ctx->suffix_pos.assign(live.size() + 1, 0);
-        for (size_t i = live.size(); i-- > 0;) {
-          root_ctx->suffix_pos[i] =
-              root_ctx->suffix_pos[i + 1] + (IsPos(live[i]) ? 1 : 0);
-        }
         root_ctx->x_stack = root_ws.x_stack;
         root_ctx->xp = root_ws.xp;
         root_ctx->xn = root_ws.xn;
         root_ctx->items = items;
-        root_ctx->live = std::move(live);
-        root_ctx->live_freq = std::move(live_freq);
         fan_out = true;
       }
     }
@@ -1160,7 +1096,7 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
   }
 
   if (!fan_out || root_ctx->live.empty() || fan_limit == 0) {
-    MergeStats(root_ws.stats);
+    stats_.Add(root_ws.stats);
     return;
   }
   root_ctx_ = root_ctx;
@@ -1267,7 +1203,7 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
   if (workers <= 1) {
     root_ws.worker_index = 0;
     worker_loop(root_ws, 0);
-    MergeStats(root_ws.stats);
+    stats_.Add(root_ws.stats);
     return;
   }
 
@@ -1282,7 +1218,7 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
     worker_loop(root_ws, root_ws.stats.nodes_visited + warmup);
     if (pending_.load(std::memory_order_acquire) == 0 ||
         stopped_.load(std::memory_order_relaxed)) {
-      MergeStats(root_ws.stats);
+      stats_.Add(root_ws.stats);
       return;
     }
   }
@@ -1303,50 +1239,28 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
   }
   for (std::thread& t : pool) t.join();
 
-  MergeStats(root_ws.stats);
-  for (const auto& ws : pool_states) MergeStats(ws->stats);
-}
-
-uint32_t TopkSearch::FinalEffectiveMinsup() const {
-  // Deterministic recomputation of the paper's dynamic minsup raise
-  // (§4.1.1, second optimization) from the final merged lists: the raises
-  // applied during the search depend on thread timing and are only ever
-  // weaker than this value.
-  uint32_t effective = initial_minsup_;
-  if (!opt_.dynamic_min_support || positive_positions_.empty()) {
-    return effective;
-  }
-  uint32_t lowest = UINT32_MAX;
-  for (uint32_t pos : positive_positions_) {
-    const auto& list = lists_[pos];
-    if (list.size() < opt_.k) return effective;
-    const RuleGroup& kth = list.back()->group;
-    if (kth.support == 0 || kth.support != kth.antecedent_support) {
-      return effective;
-    }
-    lowest = std::min(lowest, kth.support);
-  }
-  if (lowest != UINT32_MAX) effective = std::max(effective, lowest + 1);
-  return effective;
+  stats_.Add(root_ws.stats);
+  for (const auto& ws : pool_states) stats_.Add(ws->stats);
 }
 
 void TopkSearch::Finalize(const Bitset& frequent_items, TopkResult* result) {
   result->per_row.assign(data_.num_rows(), {});
-  for (uint32_t pos = 0; pos < pos_positive_.size(); ++pos) {
-    if (!IsPos(pos)) continue;
-    auto& out = result->per_row[order_[pos]];
-    for (const HandlePtr& handle : lists_[pos]) {
-      if (handle->provisional) {
-        // Close the seeded single item: its upper bound was never emitted
-        // (the emitting node was pruned as strictly-dominated).
-        Bitset closure = data_.RowSupportSet(handle->group.row_support);
-        closure.IntersectWith(frequent_items);
-        handle->group.antecedent = std::move(closure);
-        handle->provisional = false;
-      }
-      out.push_back(RuleGroupPtr(handle, &handle->group));
+  for (uint32_t pos : positive_positions_) {
+    for (const HandlePtr& handle : lists_.at(pos)) {
+      if (!handle->provisional) continue;
+      // Close the seeded single item: its upper bound was never emitted
+      // (the emitting node was pruned as strictly-dominated).
+      Bitset closure = data_.RowSupportSet(handle->group.row_support);
+      closure.IntersectWith(frequent_items);
+      handle->group.antecedent = std::move(closure);
+      handle->provisional = false;
     }
+    lists_.Export(pos, &result->per_row[order_[pos]]);
   }
+  result->effective_min_support =
+      opt_.dynamic_min_support
+          ? lists_.EffectiveMinsup(initial_minsup_, positive_positions_)
+          : initial_minsup_;
 }
 
 TopkResult TopkSearch::Run() {
@@ -1396,7 +1310,7 @@ TopkResult TopkSearch::Run() {
   }
   item_words_ = (data_.num_items() + 63) / 64;
   row_words_ = (data_.num_rows() + 63) / 64;
-  lists_.assign(data_.num_rows(), {});
+  lists_ = TopkLists(data_.num_rows(), opt_.k);
   shared_ = std::make_unique<SharedTopk>(data_.num_rows(), opt_.k,
                                          initial_minsup_);
 
@@ -1427,7 +1341,6 @@ TopkResult TopkSearch::Run() {
 
   TopkResult result;
   Finalize(frequent, &result);
-  result.effective_min_support = FinalEffectiveMinsup();
   stats_.timed_out = timed_out_.load(std::memory_order_relaxed);
   stats_.seconds = timer.ElapsedSeconds();
   result.stats = stats_;

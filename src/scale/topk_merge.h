@@ -26,16 +26,15 @@ struct MergedTopk {
   MinerStats stats;
 };
 
-/// Merges per-shard results into the global per-row top-k by replaying
-/// every candidate in the single-shot search's canonical insertion order:
-/// single-item seeds (reconstructed from the transposed view in ascending
-/// item order), the root group (rows containing every frequent item),
-/// then each shard's lists in shard order — shard p's stream is exactly
-/// the canonical emission order of the first-level subtrees p owns.
-/// Cross-shard duplicates (seeds, the root group) collapse through the
-/// same identity-triple dedup the miner's replay uses, and surviving
-/// provisional seeds are closed against the view. See DESIGN.md §14 for
-/// the correctness argument.
+/// Merges per-shard results into the global per-row top-k in one pass:
+/// each shard's final lists are replayed, shard → position → list order,
+/// through the miner's own TopkLists. Shard 0 mines the whole dataset, so
+/// its lists already hold the seeds, the root group and the closed seeds;
+/// shard p's list for a position is the top-k of the next canonical
+/// segment of the single-shot insertion stream, and top-k with
+/// first-arrival tie-breaking composes over concatenation. Duplicates a
+/// later shard re-derives (seeds, the root group) collapse through the
+/// identity-triple dedup. See DESIGN.md §14 for the argument.
 MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,
                              const std::vector<ShardResult>& shards);
 

@@ -5,6 +5,7 @@
 #include "classify/evaluator.h"
 #include "classify/rcbt.h"
 #include "discretize/binning.h"
+#include "mine/miner_common.h"
 #include "synth/generator.h"
 #include "test_util.h"
 
@@ -70,8 +71,7 @@ TEST(RenderReportTest, ContainsKeySections) {
   Pipeline p = PreparePipeline(data.train, data.test);
   TopkMinerOptions opt;
   opt.k = 2;
-  opt.min_support =
-      std::max<uint32_t>(1, 7 * p.train.ClassCounts()[1] / 10);
+  opt.min_support = MinSupportFromFrac(0.7, p.train.ClassCounts()[1]);
   TopkResult result = MineTopkRGS(p.train, 1, opt);
   const std::string report =
       RenderTopkReport(p.train, data.train, p.discretization, 1, result);

@@ -79,7 +79,7 @@ TEST(ChiMergeTest, TinyProfilePipelineWorks) {
   DiscreteDataset train = disc.Apply(data.train);
   TopkMinerOptions opt;
   opt.k = 2;
-  opt.min_support = std::max<uint32_t>(1, 7 * train.ClassCounts()[1] / 10);
+  opt.min_support = MinSupportFromFrac(0.7, train.ClassCounts()[1]);
   const TopkResult result = MineTopkRGS(train, 1, opt);
   for (RowId r = 0; r < train.num_rows(); ++r) {
     if (train.label(r) == 1) {

@@ -20,8 +20,7 @@ class PipelineTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(PipelineTest, MinersAgreeOnTinyPipelineData) {
   const DiscreteDataset& train = pipeline_.train;
-  const uint32_t minsup = std::max<uint32_t>(
-      1, static_cast<uint32_t>(0.8 * train.ClassCounts()[1]));
+  const uint32_t minsup = MinSupportFromFrac(0.8, train.ClassCounts()[1]);
 
   FarmerOptions fo;
   fo.min_support = minsup;
@@ -63,8 +62,7 @@ TEST_P(PipelineTest, TopkRGSCoversEveryTrainingRow) {
     const uint32_t class_rows = pipeline_.train.ClassCounts()[cls];
     TopkMinerOptions opt;
     opt.k = 1;
-    opt.min_support =
-        std::max<uint32_t>(1, static_cast<uint32_t>(0.7 * class_rows));
+    opt.min_support = MinSupportFromFrac(0.7, class_rows);
     const auto result = MineTopkRGS(pipeline_.train, cls, opt);
     for (RowId r = 0; r < pipeline_.train.num_rows(); ++r) {
       if (pipeline_.train.label(r) != cls) continue;
@@ -145,8 +143,7 @@ TEST(TopkVsFarmerBoundTest, TopkOutputSizeIsBounded) {
   Pipeline p = PreparePipeline(data.train, data.test);
   TopkMinerOptions opt;
   opt.k = 3;
-  opt.min_support = std::max<uint32_t>(
-      1, static_cast<uint32_t>(0.7 * p.train.ClassCounts()[1]));
+  opt.min_support = MinSupportFromFrac(0.7, p.train.ClassCounts()[1]);
   const auto result = MineTopkRGS(p.train, 1, opt);
   EXPECT_LE(result.DistinctGroups().size(),
             static_cast<size_t>(opt.k) * p.train.num_rows());

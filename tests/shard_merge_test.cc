@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
@@ -13,6 +14,7 @@
 #include "scale/topk_merge.h"
 #include "synth/scale_profile.h"
 #include "test_util.h"
+#include "util/bitset.h"
 
 namespace topkrgs {
 namespace {
@@ -123,9 +125,50 @@ void CheckShardInvariance(const TransposedView& view, ClassLabel consequent,
   }
 }
 
+/// The merge takes the seeds, the root group and the seed closures from
+/// shard 0's lists instead of re-deriving them. Asserts the single-shot
+/// lists hold the root group (antecedent = the frequent set) and a
+/// seed-derived group (row support = one item's full posting list), and
+/// that the plan really splits, so the oracle comparison covers both.
+void ExpectRootAndSeedListed(const TransposedView& view, ClassLabel consequent,
+                             uint32_t k, uint32_t minsup) {
+  const TopkResult oracle = SingleShot(view, consequent, k, minsup);
+  ShardPlanOptions plan_opt;
+  plan_opt.k = k;
+  plan_opt.min_support = minsup;
+  plan_opt.shard_count = view.num_rows;
+  auto plan_or = PlanShards(view, consequent, plan_opt);
+  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
+  const ShardPlan& plan = plan_or.value();
+  EXPECT_GE(plan.shards.size(), 2u);
+
+  std::vector<Bitset> postings;
+  plan.frequent.ForEach([&](size_t item) {
+    Bitset rows(view.num_rows);
+    const uint32_t* ids = view.rows_of(static_cast<uint32_t>(item));
+    for (size_t i = 0; i < view.rows_count(static_cast<uint32_t>(item)); ++i) {
+      rows.Set(ids[i]);
+    }
+    postings.push_back(std::move(rows));
+  });
+  bool root = false;
+  bool seed = false;
+  for (const auto& list : oracle.per_row) {
+    for (const RuleGroupPtr& group : list) {
+      if (group->antecedent == plan.frequent) root = true;
+      for (const Bitset& rows : postings) {
+        if (group->row_support == rows) seed = true;
+      }
+    }
+  }
+  EXPECT_TRUE(root) << "no list holds the root group";
+  EXPECT_TRUE(seed) << "no list holds a seed-derived group";
+}
+
 /// Three single-item patterns with IDENTICAL significance (support 6,
-/// confidence 1.0) all covering the two shared rows, k=2: the k-th-slot
-/// tie discipline must keep the canonically-earliest two in every shard
+/// confidence 6/7) all covering the two shared rows, k=2: the root group
+/// (2, 2) takes the first slot there, so the three tie for the k-th. The
+/// tie discipline must keep the canonically-earliest in every shard
 /// split, which is exactly where a merge with the wrong tie order breaks.
 TEST(ShardMergeTest, TieSaturatedKthSlot) {
   std::string text;
@@ -134,16 +177,19 @@ TEST(ShardMergeTest, TieSaturatedKthSlot) {
   for (int i = 0; i < 4; ++i) text += "1\t0\n";  // rows 2-5: pattern 0
   for (int i = 0; i < 4; ++i) text += "1\t1\n";  // rows 6-9: pattern 1
   for (int i = 0; i < 4; ++i) text += "1\t2\n";  // rows 10-13: pattern 2
-  text += "0\t3\n";  // negatives
-  text += "0\t3\n";
+  text += "0\t0\n";  // negatives: one per pattern
+  text += "0\t1\n";
+  text += "0\t2\n";
   const StreamedTable table = TableFromText(text);
 
-  // Sanity: on the shared rows the three (6, 6) groups tie for both slots
-  // of k=2 and the (2, 2) closed triple is outranked.
+  // Sanity: on the shared rows the (2, 2) root group outranks the three
+  // (6, 7) groups, which tie for the second slot of k=2.
   const TopkResult oracle = SingleShot(table.View(), 1, 2, 2);
   ASSERT_EQ(oracle.per_row[0].size(), 2u);
-  EXPECT_EQ(oracle.per_row[0][0]->support, 6u);
+  EXPECT_EQ(oracle.per_row[0][0]->support, 2u);
   EXPECT_EQ(oracle.per_row[0][1]->support, 6u);
+  EXPECT_EQ(oracle.per_row[0][1]->antecedent_support, 7u);
+  ExpectRootAndSeedListed(table.View(), 1, 2, 2);
 
   CheckShardInvariance(table.View(), 1, 2, 2, {1, 2, 3, 7, 14, 16}, {1},
                        "tie-saturated");
@@ -165,19 +211,21 @@ TEST(ShardMergeTest, MicroProfileNegativeClassConsequent) {
                        {1, 3, 16}, {1}, "micro profile class 0");
 }
 
-/// A dataset where one row contains every frequent item: the earliest
+/// A dataset where two rows contain every frequent item: the earliest
 /// absorbed row truncates the plan (later shards are provably inert), and
 /// the absorbing shard takes unlimited fan-out. Output must not change.
 TEST(ShardMergeTest, AbsorbedRowTruncatesPlan) {
   std::string text;
-  text += "1\t0 1 2 3\n";  // contains every (frequent) item
+  text += "1\t0 1 2 3\n";  // rows 0-1 contain every (frequent) item
+  text += "1\t0 1 2 3\n";
   text += "1\t0 1\n";
   text += "1\t0 1\n";
   text += "1\t2 3\n";
   text += "1\t2 3\n";
   text += "1\t0 2\n";
-  text += "0\t4\n";
-  text += "0\t4\n";
+  text += "0\t0 1\n";  // negatives: only the root group stays at 100%
+  text += "0\t2 3\n";
+  text += "0\t0 2\n";
   const StreamedTable table = TableFromText(text);
 
   ShardPlanOptions plan_opt;
@@ -186,12 +234,13 @@ TEST(ShardMergeTest, AbsorbedRowTruncatesPlan) {
   plan_opt.shard_count = 6;
   auto plan_or = PlanShards(table.View(), 1, plan_opt);
   ASSERT_TRUE(plan_or.ok());
-  // The absorbed row has the maximum weight, so it sorts LAST among the
-  // positives: all six singleton shards up to it survive, and the last one
-  // gets unlimited fan-out.
+  // The absorbed rows have the maximum weight, so they sort LAST among
+  // the positives: every shard up to the first of them survives, and the
+  // one holding it gets unlimited fan-out.
   ASSERT_FALSE(plan_or.value().shards.empty());
   EXPECT_EQ(plan_or.value().shards.back().first_level_limit, UINT32_MAX);
   EXPECT_EQ(plan_or.value().shards.back().end_pos, plan_or.value().positives);
+  ExpectRootAndSeedListed(table.View(), 1, 2, 2);
 
   CheckShardInvariance(table.View(), 1, 2, 2, {1, 2, 3, 6}, {1},
                        "absorbed row");

@@ -2,12 +2,14 @@
 # CI gate with two stages:
 #
 #   tsan  — build the ThreadSanitizer preset and run the parallel-miner
-#           determinism tests plus the classifier/serving thread-safety
-#           tests under it. The parallel MineTopkRGS promises bit-for-bit
-#           identical results for any thread count, and the serving stack
-#           promises lock-free shared-classifier Predict; this stage is
-#           the race detector backing both — run it before merging
-#           anything touching src/mine/, src/serve/ or src/util/arena.h.
+#           determinism tests, the sharded-merge oracle (8-thread shards
+#           with a concurrently called prefix guard) and the
+#           classifier/serving thread-safety tests under it. The parallel
+#           MineTopkRGS promises bit-for-bit identical results for any
+#           thread count, and the serving stack promises lock-free
+#           shared-classifier Predict; this stage is the race detector
+#           backing both — run it before merging anything touching
+#           src/mine/, src/scale/, src/serve/ or src/util/arena.h.
 #
 #   fuzz  — build the fuzz preset (ASan+UBSan, plus libFuzzer when the
 #           compiler is clang) and replay the committed seed + regression
@@ -439,7 +441,7 @@ case "${STAGE}" in
   coverage) run_coverage ;;
   ubsan) run_ubsan ;;
   intsan) run_intsan ;;
-  tsan) run_tsan "${2:-TopkParallel|ThreadSafety|WorkStealDeque}" ;;
+  tsan) run_tsan "${2:-TopkParallel|ThreadSafety|WorkStealDeque|ShardMerge}" ;;
   fuzz) run_fuzz ;;
   simd) run_simd ;;
   scale) run_scale ;;
@@ -448,7 +450,7 @@ case "${STAGE}" in
     run_lint
     run_astlint
     run_analyze
-    run_tsan "${2:-TopkParallel|ThreadSafety|WorkStealDeque}"
+    run_tsan "${2:-TopkParallel|ThreadSafety|WorkStealDeque|ShardMerge}"
     run_ubsan
     run_intsan
     run_fuzz
