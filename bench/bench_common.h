@@ -166,6 +166,7 @@ class JsonRecord {
     Int("tasks_executed", static_cast<long long>(stats.tasks_executed));
     Int("tasks_spawned", static_cast<long long>(stats.tasks_spawned));
     Int("tasks_stolen", static_cast<long long>(stats.tasks_stolen));
+    Int("cut_rows_scanned", static_cast<long long>(stats.cut_rows_scanned));
     Bool("timed_out", stats.timed_out);
     return *this;
   }

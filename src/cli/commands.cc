@@ -274,8 +274,9 @@ Status RunMineCommand(const std::vector<std::string>& args) {
   for (size_t i = 0; i < limit; ++i) {
     PrintRuleGroup(pipeline, raw, *to_print[i], 4);
   }
-  std::printf("search: %llu nodes in %.3fs%s\n",
+  std::printf("search: %llu nodes, %llu cut rows scanned in %.3fs%s\n",
               static_cast<unsigned long long>(stats.nodes_visited),
+              static_cast<unsigned long long>(stats.cut_rows_scanned),
               stats.seconds, stats.timed_out ? " (budget hit)" : "");
   return Status::OK();
 }

@@ -39,27 +39,6 @@ std::string RuleGroup::ToString() const {
   return Describe(antecedent, consequent, support, confidence());
 }
 
-int CompareSignificance(uint32_t sup1, uint32_t as1, uint32_t sup2,
-                        uint32_t as2) {
-  // Confidence comparison sup1/as1 vs sup2/as2; a zero antecedent support
-  // denotes a dummy entry with confidence 0.
-  const uint64_t lhs = static_cast<uint64_t>(sup1) * as2;
-  const uint64_t rhs = static_cast<uint64_t>(sup2) * as1;
-  if (as1 == 0 || as2 == 0) {
-    // Dummies: confidence 0 and support 0; fall through with conf ranks.
-    const double c1 = as1 == 0 ? 0.0 : static_cast<double>(sup1) / as1;
-    const double c2 = as2 == 0 ? 0.0 : static_cast<double>(sup2) / as2;
-    if (c1 > c2) return 1;
-    if (c1 < c2) return -1;
-  } else {
-    if (lhs > rhs) return 1;
-    if (lhs < rhs) return -1;
-  }
-  if (sup1 > sup2) return 1;
-  if (sup1 < sup2) return -1;
-  return 0;
-}
-
 bool RuleGroup::CheckInvariants(std::string* error) const {
   auto fail = [error](std::string msg) {
     if (error != nullptr) *error = std::move(msg);

@@ -41,6 +41,9 @@ struct MinerStats {
   // from item postings rather than per candidate (CountFreqFromPostings).
   uint64_t freq_scans = 0;
   uint64_t postings_scans = 0;
+  // MineTopkRGS admission checks: positive rows whose published k-th
+  // entry a check read before it admitted or pruned (TopkSearch::Admits).
+  uint64_t cut_rows_scanned = 0;
   double seconds = 0.0;
   bool timed_out = false;
 
@@ -56,6 +59,7 @@ struct MinerStats {
     tasks_stolen += other.tasks_stolen;
     freq_scans += other.freq_scans;
     postings_scans += other.postings_scans;
+    cut_rows_scanned += other.cut_rows_scanned;
     timed_out = timed_out || other.timed_out;
   }
 };

@@ -50,7 +50,8 @@ constexpr uint32_t kOriginInf = 0xffffu;
 /// Significance threshold (sup, antecedent_sup) with the canonical origin
 /// attached: `origin` is the latest origin among the top-k entries tied
 /// with the k-th (the ones a tying candidate must beat in the replay's
-/// earlier-discovery tiebreak). (0, 0) is the dummy with confidence 0.
+/// earlier-discovery tiebreak). (0, 0) is the dummy with confidence 0,
+/// which every real candidate beats, so a default Thresh never prunes.
 struct Thresh {
   uint32_t sup = 0;
   uint32_t asup = 0;
@@ -72,8 +73,10 @@ inline bool Dominated(uint32_t sup, uint32_t asup, const Thresh& cut,
 /// Shared pruning state of the parallel search: per-row candidate top-k
 /// lists guarded by striped locks, with each row's k-th-entry significance
 /// and tie origin mirrored into a packed atomic so the hot pruning reads
-/// (ComputeCut runs at every enumeration node) never take a lock. The
-/// dynamically raised minimum support lives here too.
+/// (the admission check reads one per scanned row) never take a lock. A
+/// published k-th entry only ever tightens, which is what lets a caller
+/// keep a cut it folded earlier (TopkSearch::Admits). The dynamically
+/// raised minimum support lives here too.
 ///
 /// This structure only steers pruning; the final per-row lists are rebuilt
 /// afterwards by a deterministic replay of the recorded emissions, so the
@@ -107,12 +110,9 @@ class SharedTopk {
   }
 
   /// Epoch stamp of the shared pruning state: bumped whenever any k-th
-  /// significance is (re)published or minsup is raised — i.e. whenever a
-  /// recomputed cut COULD be tighter than one computed earlier. Workers
-  /// re-read this at every enumeration node and refresh their cut only on
-  /// a change, which makes threshold propagation eager (a bound tightened
-  /// by any worker prunes everyone at their next node) at the cost of one
-  /// relaxed-ordered atomic load per node instead of an O(rows) rescan.
+  /// significance is (re)published or minsup is raised. MaybeRaiseMinsup
+  /// re-reads it at every enumeration node and rescans the k-th entries
+  /// only on a change, so an unchanged epoch costs one atomic load.
   uint64_t Epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Monotone maximum update (CAS loop). The paper's dynamic-minsup
@@ -303,8 +303,9 @@ class TopkSearch {
   };
 
   struct SubtreeTask;
+  struct NodeCtx;
 
-  /// Sentinel for "no epoch observed yet" (forces the first refresh).
+  /// Sentinel for "no epoch observed yet" (forces the first minsup scan).
   static constexpr uint64_t kEpochNever = ~0ull;
 
   /// Per-worker DFS state: the enumeration stack and scratch buffers
@@ -321,6 +322,12 @@ class TopkSearch {
     uint64_t minsup_epoch = kEpochNever;  // epoch of the last minsup scan
     uint32_t worker_index = 0;
     SubtreeTask* task = nullptr;   // the task currently executing
+    // The context x_stack was last switched to, and RunTask's admission
+    // cut cache over its x_stack ∪ live (see Admits). Contexts live until
+    // Run returns (tasks_ and the spawned vectors own them), so the
+    // pointer is never reused for another context while a worker runs.
+    const NodeCtx* ctx = nullptr;
+    Thresh ctx_cut;
     MinerStats stats;
     std::vector<Emission>* sink = nullptr;
     VectorPool<uint32_t> scratch;
@@ -406,12 +413,14 @@ class TopkSearch {
 
   /// The per-child loose bound: support below child X ∪ {p} is capped by
   /// X, the branch row p, and the `positives_after` positive candidates
-  /// ordered after it.
-  TKRGS_HOT bool ChildHopeless(const WorkerState& ws, uint32_t p,
+  /// ordered after it. `rows` and `cut` as in Admits; the parent's rows
+  /// cover every child's, so checking against them is sound.
+  TKRGS_HOT bool ChildHopeless(WorkerState& ws, uint32_t p,
                                uint32_t positives_after,
-                               const Thresh& cut) const {
-    return Hopeless(ws.xp + (IsPos(p) ? 1 : 0) + positives_after,
-                    ws.xn + (IsPos(p) ? 0 : 1), cut, ws.origin);
+                               std::span<const uint32_t> rows,
+                               Thresh* cut) const {
+    return Hopeless(ws, ws.xp + (IsPos(p) ? 1 : 0) + positives_after,
+                    ws.xn + (IsPos(p) ? 0 : 1), rows, cut);
   }
 
   /// Processes the root node serially (seeding the shared thresholds with
@@ -425,7 +434,8 @@ class TopkSearch {
   /// ctx->live[task.child].
   TKRGS_HOT void RunTask(WorkerState& ws, SubtreeTask& task);
 
-  /// Rebinds a worker's DFS state to another task context.
+  /// Rebinds a worker's DFS state to another task context and empties its
+  /// admission cut cache.
   void SwitchCtx(WorkerState& ws, const NodeCtx& ctx) const;
 
   /// Whether the current node may shed its `remaining` unvisited children
@@ -449,12 +459,29 @@ class TopkSearch {
 
   void SeedSingleItems(const Bitset& frequent_items);
   TKRGS_HOT void MaybeRaiseMinsup(WorkerState& ws);
-  TKRGS_HOT Thresh ComputeCut(const std::vector<uint32_t>& x_stack,
-                              std::span<const uint32_t> candidates) const;
-  TKRGS_HOT bool Hopeless(uint32_t best_sup, uint32_t min_neg,
-                          const Thresh& cut, uint32_t origin) const;
+
+  /// The top-k admission check (§4.1.1, Lemma 3.2): whether some positive
+  /// row of ws.x_stack ∪ `rows` — the rows the caller can still cover —
+  /// has a published k-th entry that does not Dominate (sup, asup) at
+  /// ws.origin. Stops at the first such row. `cut` is the caller's cache:
+  /// a full scan that finds none stores the exact cut it folded (Equation
+  /// 1/2: the weakest k-th entry, with the latest origin among the rows
+  /// tied at it), and a later check the cached cut already Dominates
+  /// answers without reading a row. The cache stays sound while the
+  /// caller's later checks read a subset of the rows it was folded over:
+  /// published k-th entries only tighten, and fewer rows cut no looser.
+  TKRGS_HOT bool Admits(WorkerState& ws, uint32_t sup, uint32_t asup,
+                        std::span<const uint32_t> rows, Thresh* cut) const;
+  /// Whether nothing below the current node can enter a final list: its
+  /// best group (support best_sup, at least min_neg negative rows) is
+  /// under minsup or, with top-k pruning, not admitted on `rows`.
+  TKRGS_HOT bool Hopeless(WorkerState& ws, uint32_t best_sup,
+                          uint32_t min_neg, std::span<const uint32_t> rows,
+                          Thresh* cut) const;
+  /// Step 13: records the current node's group unless minsup or the
+  /// admission check on `cand` (the node's candidates) rejects it.
   TKRGS_HOT void EmitAt(WorkerState& ws, const RowSet& items,
-                        const Thresh& cut);
+                        std::span<const uint32_t> cand, Thresh* cut);
   void ReplayEmissions(const std::vector<Emission>& emissions);
   void ReplayTask(const SubtreeTask& task);
   void Finalize(const Bitset& frequent_items, TopkResult* result);
@@ -608,59 +635,59 @@ void TopkSearch::MaybeRaiseMinsup(WorkerState& ws) {
   }
 }
 
-Thresh TopkSearch::ComputeCut(const std::vector<uint32_t>& x_stack,
-                              std::span<const uint32_t> candidates) const {
-  // Equation 1/2: the weakest k-th entry over the rows the subtree can still
-  // cover (Lemma 3.2: Xp ∪ Rp). The cut's origin must justify tie
-  // suppression against EVERY coverable row, so among the rows tied at the
-  // minimum significance it keeps the latest (largest) tie origin.
-  bool first = true;
-  Thresh cut{0, 0, 0};
-  auto consider = [&](uint32_t pos) {
-    const Thresh t = shared_->KthOf(pos);
-    if (first) {
-      cut = t;
-      first = false;
-      return;
+bool TopkSearch::Admits(WorkerState& ws, uint32_t sup, uint32_t asup,
+                        std::span<const uint32_t> rows, Thresh* cut) const {
+  if (Dominated(sup, asup, *cut, ws.origin)) return false;
+  // The scan folds the exact cut as it goes. `vs` compares the candidate
+  // with the fold so far; it is never positive (an admitting row ends the
+  // scan), so a row above the fold is Dominated at the price of the one
+  // comparison that keeps the fold.
+  Thresh fold{UINT32_MAX, UINT32_MAX, 0};  // the cut over no row: prune all
+  int vs = -1;
+  uint64_t scanned = 0;
+  auto admitting_row = [&](std::span<const uint32_t> positions) {
+    for (uint32_t pos : positions) {
+      if (!IsPos(pos)) continue;
+      ++scanned;
+      const Thresh t = shared_->KthOf(pos);
+      const int cmp = CompareSignificance(t.sup, t.asup, fold.sup, fold.asup);
+      if (cmp > 0) continue;
+      if (cmp < 0) {
+        fold = t;
+        vs = CompareSignificance(sup, asup, t.sup, t.asup);
+      } else {
+        fold.origin = std::max(fold.origin, t.origin);
+      }
+      if (vs > 0 || (vs == 0 && t.origin > ws.origin)) return true;
     }
-    const int cmp = CompareSignificance(t.sup, t.asup, cut.sup, cut.asup);
-    if (cmp < 0) {
-      cut = t;
-    } else if (cmp == 0 && t.origin > cut.origin) {
-      cut.origin = t.origin;
-    }
+    return false;
   };
-  for (uint32_t pos : x_stack) {
-    if (IsPos(pos)) consider(pos);
-  }
-  for (uint32_t pos : candidates) {
-    if (IsPos(pos)) consider(pos);
-  }
-  if (first) {
-    cut = Thresh{UINT32_MAX, UINT32_MAX, 0};  // no coverable row: prune all
-  }
-  return cut;
+  const bool admitted = admitting_row(ws.x_stack) || admitting_row(rows);
+  ws.stats.cut_rows_scanned += scanned;
+  if (!admitted) *cut = fold;
+  return admitted;
 }
 
-bool TopkSearch::Hopeless(uint32_t best_sup, uint32_t min_neg,
-                          const Thresh& cut, uint32_t origin) const {
+bool TopkSearch::Hopeless(WorkerState& ws, uint32_t best_sup,
+                          uint32_t min_neg, std::span<const uint32_t> rows,
+                          Thresh* cut) const {
   if (best_sup < shared_->minsup()) return true;
   if (!opt_.use_topk_pruning) return false;
   // Best achievable significance in the subtree: support best_sup with
   // confidence best_sup / (best_sup + min_neg). Strictly-worse subtrees
-  // are always hopeless; a subtree that merely TIES the cut is hopeless
-  // only when every tied threshold entry canonically precedes anything
-  // this subtree could emit (cut.origin <= origin) — otherwise its tie
-  // might still win the replay merge's discovery-order tiebreak and must
-  // be explored. At one thread every prior entry precedes the current
-  // node, so this degenerates to the serial search's tie pruning exactly.
-  return Dominated(best_sup, best_sup + min_neg, cut, origin);
+  // are always hopeless; a subtree that merely TIES a row's k-th entry is
+  // beaten there only when every tied entry canonically precedes anything
+  // this subtree could emit (see Dominated) — otherwise its tie might
+  // still win the replay merge's discovery-order tiebreak and must be
+  // explored. At one thread every prior entry precedes the current node,
+  // so this degenerates to the serial search's tie pruning exactly.
+  return !Admits(ws, best_sup, best_sup + min_neg, rows, cut);
 }
 
 void TopkSearch::EmitAt(WorkerState& ws, const RowSet& items,
-                        const Thresh& cut) {
+                        std::span<const uint32_t> cand, Thresh* cut) {
   if (ws.xp < shared_->minsup()) return;
-  if (opt_.use_topk_pruning && Dominated(ws.xp, ws.xp + ws.xn, cut, ws.origin)) {
+  if (opt_.use_topk_pruning && !Admits(ws, ws.xp, ws.xp + ws.xn, cand, cut)) {
     // Beaten on every coverable row by k recorded entries — strictly more
     // significant ones, or exact ties that canonically precede this node
     // (see Hopeless): it can never enter a final list, so it need not be
@@ -715,15 +742,17 @@ void TopkSearch::Visit(WorkerState& ws, std::span<const uint32_t> cand,
     if (IsPos(p)) ++rp;
   }
 
-  // Step 8: threshold updating. The epoch is read BEFORE the cut is
-  // computed, so a publish racing the computation at worst forces one
-  // redundant refresh below — never a missed one.
+  // Step 8: threshold updating.
   MaybeRaiseMinsup(ws);
-  uint64_t cut_epoch = shared_->Epoch();
-  Thresh cut = ComputeCut(ws.x_stack, cand);
+  // This node's admission cut cache (see Admits). Its checks read x_stack
+  // ∪ cand, or the subset x_stack ∪ live once Step 10 has moved absorbed
+  // rows onto the stack; the one check over live that runs before a check
+  // over cand (Step 11) refreshes the cache only when it prunes the node.
+  Thresh cut;
 
   // Step 9: loose bounds (no scan needed).
-  if (opt_.use_bound_pruning && Hopeless(ws.xp + rp, ws.xn, cut, ws.origin)) {
+  if (opt_.use_bound_pruning &&
+      Hopeless(ws, ws.xp + rp, ws.xn, cand, &cut)) {
     ++ws.stats.pruned_bounds;
     return;
   }
@@ -744,15 +773,14 @@ void TopkSearch::Visit(WorkerState& ws, std::span<const uint32_t> cand,
   // Step 11: tight bounds (suffix_pos[0] = mp, the candidate consequent
   // rows that can still appear in a descendant antecedent support set).
   const bool pruned = opt_.use_bound_pruning &&
-                      Hopeless(ws.xp + suffix_pos[0], ws.xn,
-                               ComputeCut(ws.x_stack, live), ws.origin);
+                      Hopeless(ws, ws.xp + suffix_pos[0], ws.xn, live, &cut);
   if (pruned) {
     ++ws.stats.pruned_bounds;
   } else {
     // Step 13: emit the rule group of this node and update covered rows.
     // Only nodes with X == R(I(X)) carry a rule group; when the backward
     // check failed we are in a redundant subtree that emits nothing.
-    if (closed_on_left) EmitAt(ws, items, cut);
+    if (closed_on_left) EmitAt(ws, items, cand, &cut);
 
     // Step 14: enumerate children in ORD order.
     for (size_t i = 0;
@@ -770,23 +798,11 @@ void TopkSearch::Visit(WorkerState& ws, std::span<const uint32_t> cand,
         SpawnRemaining(ws, items, live, live_freq, suffix_pos, i);
         break;
       }
-      if (opt_.use_topk_pruning || opt_.use_bound_pruning) {
-        // Eager threshold propagation: refresh the cut whenever any worker
-        // published a tighter k-th entry since it was computed. Without
-        // this, the cut is node-entry-stale for the whole child loop — on
-        // big nodes that is exactly the window where parallel workers used
-        // to keep exploring subtrees a current bound already kills.
-        const uint64_t epoch_now = shared_->Epoch();
-        if (epoch_now != cut_epoch) {
-          cut_epoch = epoch_now;
-          cut = ComputeCut(ws.x_stack, live);
-        }
-      }
-      // Per-child loose bounds before any per-child work; the parent's cut
-      // is a lower bound on every child's cut, so pruning against it is
-      // sound.
+      // Per-child loose bounds before any per-child work. A check that
+      // misses the cache reads the current thresholds, so a k-th entry any
+      // worker tightened prunes the very next child.
       if (opt_.use_bound_pruning &&
-          ChildHopeless(ws, live[i], suffix_pos[i + 1], cut)) {
+          ChildHopeless(ws, live[i], suffix_pos[i + 1], live, &cut)) {
         ++ws.stats.pruned_bounds;
         continue;
       }
@@ -931,6 +947,8 @@ void TopkSearch::Descend(WorkerState& ws, const RowSet& items,
 }
 
 void TopkSearch::SwitchCtx(WorkerState& ws, const NodeCtx& ctx) const {
+  ws.ctx = &ctx;
+  ws.ctx_cut = Thresh{};
   for (uint32_t p : ws.x_stack) ws.in_x[p] = 0;
   ws.x_stack = ctx.x_stack;
   for (uint32_t p : ws.x_stack) ws.in_x[p] = 1;
@@ -1012,11 +1030,11 @@ void TopkSearch::RunTask(WorkerState& ws, SubtreeTask& task) {
   // descending; here the check runs when the task is claimed, against the
   // freshest thresholds (any achieved threshold is a sound pruning bound).
   // For a task that sat queued while the thresholds matured — the common
-  // case late in the search — this is where the whole subtree dies for
-  // the price of one cut.
+  // case late in the search — this is where the whole subtree dies, most
+  // often on the cut cached by an earlier sibling's check.
   if (opt_.use_bound_pruning &&
       ChildHopeless(ws, ctx.live[task.child], ctx.suffix_pos[task.child + 1],
-                    ComputeCut(ws.x_stack, ctx.live))) {
+                    ctx.live, &ws.ctx_cut)) {
     ++ws.stats.pruned_bounds;
     return;
   }
@@ -1047,9 +1065,9 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
     }
 
     MaybeRaiseMinsup(root_ws);
-    const Thresh cut = ComputeCut(root_ws.x_stack, cand);
+    Thresh cut;  // the root's admission cut cache, used as in Visit
 
-    if (opt_.use_bound_pruning && Hopeless(rp, 0, cut, root_ws.origin)) {
+    if (opt_.use_bound_pruning && Hopeless(root_ws, rp, 0, cand, &cut)) {
       ++root_ws.stats.pruned_bounds;
     } else {
       std::vector<uint32_t> absorbed;
@@ -1059,9 +1077,8 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
 
       const bool pruned =
           opt_.use_bound_pruning &&
-          Hopeless(root_ws.xp + root_ctx->suffix_pos[0], root_ws.xn,
-                   ComputeCut(root_ws.x_stack, root_ctx->live),
-                   root_ws.origin);
+          Hopeless(root_ws, root_ws.xp + root_ctx->suffix_pos[0], root_ws.xn,
+                   root_ctx->live, &cut);
       if (pruned) {
         ++root_ws.stats.pruned_bounds;
       } else {
@@ -1069,7 +1086,7 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
         // frequent item. A guard hit means a pre-suffix row is one of them,
         // so the suffix sees only part of the group; shard 0 mines the
         // whole dataset and emits the real one (DESIGN.md §14).
-        if (!ContainedOutside(items)) EmitAt(root_ws, items, cut);
+        if (!ContainedOutside(items)) EmitAt(root_ws, items, cand, &cut);
 
         root_ctx->x_stack = root_ws.x_stack;
         root_ctx->xp = root_ws.xp;
@@ -1135,12 +1152,8 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
   // before it stops claiming tasks (the serial warm-up below); 0 = run
   // until the search is drained.
   auto worker_loop = [&](WorkerState& ws, uint64_t node_budget) {
-    const NodeCtx* cached = nullptr;
     auto run_one = [&](SubtreeTask* task) {
-      if (cached != task->ctx.get()) {
-        SwitchCtx(ws, *task->ctx);
-        cached = task->ctx.get();
-      }
+      if (ws.ctx != task->ctx.get()) SwitchCtx(ws, *task->ctx);
       ws.task = task;
       ws.sink = &task->emissions;
       ws.origin = task->origin_base;

@@ -87,11 +87,12 @@ struct TopkMinerOptions {
   /// Worker threads. MineTopkRGS turns the first level of the
   /// row-enumeration tree into subtree tasks drained through work-stealing
   /// deques (owner-LIFO / thief-FIFO, with dynamic splitting once a worker
-  /// starves), all sharing the per-row top-k pruning thresholds through
-  /// epoch-stamped snapshots. 0 = one thread per hardware core (clamped to
-  /// at least 1 — see ResolveThreadCount). Results are bit-for-bit
-  /// deterministic regardless of the thread count (search statistics such
-  /// as nodes_visited depend on pruning timing and are not).
+  /// starves), all sharing the per-row top-k pruning thresholds, which
+  /// every admission check reads lock-free. 0 = one thread per hardware
+  /// core (clamped to at least 1 — see ResolveThreadCount). Results are
+  /// bit-for-bit deterministic regardless of the thread count (search
+  /// statistics such as nodes_visited depend on pruning timing and are
+  /// not).
   uint32_t threads = 1;
 
   /// Serial warm-up budget for the parallel miner: before any worker

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "classify/evaluator.h"
 #include "mine/naive_miner.h"
 #include "mine/topk_miner.h"
+#include "scale/shard_planner.h"
+#include "scale/stream_reader.h"
+#include "scale/topk_merge.h"
 #include "synth/generator.h"
+#include "synth/scale_profile.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace topkrgs {
 namespace {
@@ -150,6 +157,113 @@ TEST(TopkParallelTest, ParallelResultMatchesOracle) {
           << "seed " << seed << " row " << r;
     }
   }
+}
+
+/// A dataset whose positive rows each appear three times, so every group
+/// covers whole triples and significance ties are everywhere: between the
+/// copies, and between the k-th entries of distinct rows, which different
+/// tasks publish with different tie origins — the per-row origin rule the
+/// admission check must keep (a cut folded over rows tied at the minimum
+/// keeps the latest origin among them).
+DiscreteDataset TripledPositives(uint64_t seed, uint32_t distinct_positives,
+                                 uint32_t negatives, ItemId num_items) {
+  Rng rng(seed);
+  std::vector<std::vector<ItemId>> rows;
+  std::vector<ClassLabel> labels;
+  auto random_row = [&] {
+    std::vector<ItemId> items;
+    for (ItemId i = 0; i < num_items; ++i) {
+      if (rng.NextBool(0.45)) items.push_back(i);
+    }
+    return items;
+  };
+  for (uint32_t r = 0; r < distinct_positives; ++r) {
+    const std::vector<ItemId> items = random_row();
+    for (int copy = 0; copy < 3; ++copy) {
+      rows.push_back(items);
+      labels.push_back(1);
+    }
+  }
+  for (uint32_t r = 0; r < negatives; ++r) {
+    rows.push_back(random_row());
+    labels.push_back(0);
+  }
+  return DiscreteDataset(num_items, std::move(rows), std::move(labels));
+}
+
+TEST(TopkParallelTest, TieHeavyDatasetMatchesOracle) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const DiscreteDataset data = TripledPositives(seed, 4, 6, 14);
+    for (uint32_t k : {1u, 2u, 3u}) {
+      const auto oracle = NaiveTopkRGS(data, 1, 2, k);
+      TopkMinerOptions opt;
+      opt.k = k;
+      opt.min_support = 2;
+      opt.warmup_nodes = 0;
+      opt.threads = 1;
+      const TopkResult serial = MineTopkRGS(data, 1, opt);
+      for (uint32_t threads : {1u, 4u, 8u}) {
+        const std::string context = "seed " + std::to_string(seed) + " k " +
+                                    std::to_string(k) + " threads " +
+                                    std::to_string(threads);
+        opt.threads = threads;
+        const TopkResult got = MineTopkRGS(data, 1, opt);
+        ASSERT_EQ(got.per_row.size(), oracle.size()) << context;
+        for (size_t r = 0; r < oracle.size(); ++r) {
+          EXPECT_EQ(SignificanceSeq(got.per_row[r]),
+                    testing_util::SignificanceSeqValues(oracle[r]))
+              << context << " row " << r;
+        }
+        ExpectIdenticalResults(serial, got, context);
+      }
+    }
+  }
+  // Past the oracle's row limit the searches run long enough for workers
+  // to publish ties out of canonical order; a cut that kept the earliest
+  // tied origin instead of the latest breaks thread invariance here.
+  for (uint64_t seed : {10u, 15u, 16u}) {
+    const DiscreteDataset data = TripledPositives(seed, 10, 10, 30);
+    for (uint32_t k : {3u, 5u}) {
+      TopkMinerOptions opt;
+      opt.k = k;
+      opt.min_support = 1;
+      opt.warmup_nodes = 0;
+      CheckThreadInvariance(data, 1, opt,
+                            "tripled seed " + std::to_string(seed) + " k " +
+                                std::to_string(k));
+    }
+  }
+}
+
+TEST(TopkParallelTest, AdmissionCheckReadsFewRowsOnReducedProfile) {
+  // Almost every admission check is settled by the first row it reads or
+  // by its cached cut; a check that rescans every coverable positive row
+  // (the old folded cut) reads about one row per positive per check.
+  const ScaleProfile profile = ScaleProfile::Reduced();
+  std::string text;
+  for (uint64_t row = 0; row < profile.rows; ++row) {
+    AppendScaleRow(profile, row, &text);
+  }
+  auto table_or = StreamReader::ParseItemData(text);
+  ASSERT_TRUE(table_or.ok()) << table_or.status().ToString();
+  const StreamedTable& table = table_or.value();
+  uint64_t positives = 0;
+  for (ClassLabel label : table.labels()) positives += label == 1 ? 1 : 0;
+
+  ShardPlanOptions plan_opt;
+  plan_opt.k = 3;
+  plan_opt.min_support = profile.SuggestedMinSupport();
+  plan_opt.shard_count = 1;
+  ShardMineOptions mine_opt;
+  mine_opt.threads = 1;
+  auto merged_or =
+      MineShardedTopkRGS(table.View(), 1, plan_opt, mine_opt, nullptr);
+  ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
+  const MinerStats& stats = merged_or.value().stats;
+  ASSERT_FALSE(stats.timed_out);
+  EXPECT_GT(stats.cut_rows_scanned, 0u);
+  EXPECT_LT(stats.cut_rows_scanned, 10 * positives)
+      << positives << " positive rows";
 }
 
 TEST(TopkParallelTest, ResolveThreadCountClampsAutoToAtLeastOne) {

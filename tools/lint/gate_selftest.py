@@ -105,6 +105,21 @@ class RssGateTest(unittest.TestCase):
         self.assertTrue(any("missing field(s)" in f for f in failures))
         self.assertEqual(len(failures), 4)
 
+    def test_cut_fixture_trips_the_admission_check_rules(self):
+        failures, _, ok_lines, gated = rss_gate.evaluate(
+            load("rss_cut_fail.json"), "rss_cut_fail.json")
+        self.assertEqual(gated, 3)
+        # 15.6 M reads over 8000 rows is the old full rescan per check;
+        # the record at exactly 4 x rows is still within the ceiling.
+        self.assertTrue(any("cut_rows_scanned 15600000 > 4 x rows 8000" in f
+                            for f in failures))
+        self.assertTrue(any("missing field 'cut_rows_scanned'" in f
+                            for f in failures))
+        self.assertEqual(len(failures), 2)
+        self.assertEqual(len(ok_lines), 3)  # the RSS rule passes on all
+        proc = run_cli("rss_gate.py", "rss_cut_fail.json")
+        self.assertEqual(proc.returncode, 1)
+
     def test_timed_out_records_make_the_gate_vacuous(self):
         failures, skipped, _, gated = rss_gate.evaluate(
             load("rss_vacuous.json"), "rss_vacuous.json")

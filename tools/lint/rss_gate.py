@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Out-of-core memory gate over the committed bench/BENCH_scale.json.
 
-The sharded mining engine promises two things the bench record makes
+The sharded mining engine promises three things the bench record makes
 checkable offline: a mine run's peak RSS stays inside the --memory-budget
 the shard planner was given (the planner sized the shards to make that
-true), and the sharded result is bit-identical to the single-shot miner
-(the per-record digest matched the shard_count=1 baseline). This gate
-regresses on both from the committed record, so a planner or merge change
-that silently breaks the budget or the determinism contract fails CI even
-on a runner too small to rerun the full 100k-row profile.
+true), the sharded result is bit-identical to the single-shot miner
+(the per-record digest matched the shard_count=1 baseline), and the
+miner's top-k admission check stays early-exit (it reads a few k-th
+entries per check, not every coverable row). This gate regresses on all
+three from the committed record, so a planner, merge or miner change
+that silently breaks the budget, the determinism contract or the
+admission check's cost fails CI even on a runner too small to rerun the
+full 100k-row profile.
 
 Rules:
   * every mine record must carry peak_rss_kb, memory_budget_bytes,
@@ -19,13 +22,19 @@ Rules:
     digest matched the shard_count=1 baseline in the same bench run);
   * every completed mine record must have peak_rss_kb * 1024 <=
     memory_budget_bytes, and the budget itself must be smaller than
-    materialized_bytes (otherwise "out of core" proved nothing).
+    materialized_bytes (otherwise "out of core" proved nothing);
+  * every completed mine record must carry cut_rows_scanned, and it must
+    be <= CUT_ROWS_PER_ROW * rows (a check that rescans every coverable
+    positive row reads orders of magnitude more).
 
 Usage: tools/lint/rss_gate.py [path/to/BENCH_scale.json]
 """
 
 import json
 import sys
+
+# Ceiling on admission-check row reads per dataset row in one mine run.
+CUT_ROWS_PER_ROW = 4
 
 
 def evaluate(records, path):
@@ -71,6 +80,16 @@ def evaluate(records, path):
                 "{}: memory budget {} >= materialized matrix {} — the "
                 "out-of-core claim is vacuous".format(
                     where, budget, materialized))
+        cut_rows = rec.get("cut_rows_scanned")
+        rows = rec.get("rows", 0)
+        if cut_rows is None:
+            failures.append(
+                "{}: missing field 'cut_rows_scanned'".format(where))
+        elif cut_rows > CUT_ROWS_PER_ROW * rows:
+            failures.append(
+                "{}: cut_rows_scanned {} > {} x rows {} — the admission "
+                "check stopped exiting early".format(
+                    where, cut_rows, CUT_ROWS_PER_ROW, rows))
         if rss_bytes > budget:
             failures.append(
                 "{}: peak RSS {} bytes > memory budget {} bytes".format(
@@ -104,8 +123,9 @@ def main() -> int:
         for f in failures:
             print("  " + f)
         return 1
-    print("rss gate passed: {} mine records within their memory budget, "
-          "all digests shard-count invariant.".format(gated))
+    print("rss gate passed: {} mine records within their memory budget "
+          "and admission-check row ceiling, all digests shard-count "
+          "invariant.".format(gated))
     return 0
 
 
