@@ -284,10 +284,7 @@ class TopkSearch {
  public:
   TopkSearch(const DiscreteDataset& data, ClassLabel consequent,
              const TopkMinerOptions& options)
-      : data_(data),
-        consequent_(consequent),
-        opt_(options),
-        hooks_(options.shard_hooks) {}
+      : data_(data), consequent_(consequent), opt_(options) {}
 
   TopkResult Run();
 
@@ -404,6 +401,15 @@ class TopkSearch {
                                std::vector<uint32_t>* live_freq,
                                std::vector<uint32_t>* suffix_pos);
 
+  /// Step 7's question for child X ∪ {p}, whose item set is `items`
+  /// (`items_count` items): does a row at a position before p and outside
+  /// X hold all of them? Rows before a shard scope are never in X, so they
+  /// answer like any other earlier row. Only rows holding the rarest item
+  /// can, so the check walks that item's postings instead of the p earlier
+  /// rows when they are shorter; both walks stop at the first holder.
+  TKRGS_HOT bool HeldEarlier(const WorkerState& ws, const RowSet& items,
+                             uint32_t items_count, uint32_t p) const;
+
   /// Steps 7 and 14 for child X ∪ {live[i]} of the current node X: the
   /// backward check, then the descent. `items` is I(X); it must not be
   /// ws.rowset_scratch[ws.depth], the slot the child's item set goes to.
@@ -488,30 +494,17 @@ class TopkSearch {
 
   bool IsPos(uint32_t pos) const { return pos_positive_[pos] != 0; }
 
-  /// Sharded mining (DESIGN.md §14): does some row BEFORE this shard's
-  /// suffix contain `items`? Such a row behaves exactly like an earlier
-  /// in-dataset row under the backward check: the node duplicates a branch
-  /// an earlier shard enumerates. False in stand-alone mining. The hook
-  /// must be (and is — it only reads planner-owned prefix indexes plus
-  /// thread-local scratch) safe for concurrent workers.
-  bool ContainedOutside(const RowSet& items) const {
-    return hooks_ != nullptr && hooks_->contained_outside &&
-           hooks_->contained_outside(items);
-  }
-
   const DiscreteDataset& data_;
   const ClassLabel consequent_;
   const TopkMinerOptions& opt_;
-  const ShardHooks* const hooks_;
 
   std::vector<RowId> order_;           // position -> original row id
   std::vector<uint32_t> position_of_;  // original row id -> position
   std::vector<uint8_t> pos_positive_;  // position -> is consequent-class
-  std::vector<uint32_t> positive_positions_;
+  std::vector<uint32_t> positive_positions_;  // in scope: >= begin_pos
   std::vector<uint32_t> item_support_;  // item -> |item_rows(item)|
   uint32_t item_words_ = 0;  // 64-bit words of an item-universe bitmap
   uint32_t row_words_ = 0;   // 64-bit words of a row bitmap
-  uint32_t np_ = 0;  // number of consequent-class rows
   uint32_t initial_minsup_ = 1;
   uint32_t num_workers_ = 1;
 
@@ -578,16 +571,18 @@ void TopkSearch::ReplayTask(const SubtreeTask& task) {
 
 void TopkSearch::SeedSingleItems(const Bitset& frequent_items) {
   const Bitset class_rows = data_.ClassRowset(consequent_);
+  // Rows before the shard scope (none in stand-alone mining). Shard 0
+  // plants every seed; a later shard skips the seeds an out-of-scope row
+  // holds, which shard 0 already lists, so its search is the one over its
+  // own rows alone (DESIGN.md §14).
+  Bitset out_of_scope(data_.num_rows());
+  for (uint32_t pos = 0; pos < opt_.begin_pos; ++pos) {
+    out_of_scope.Set(order_[pos]);
+  }
   frequent_items.ForEach([&](size_t item_index) {
     const ItemId item = static_cast<ItemId>(item_index);
-    if (hooks_ != nullptr && hooks_->contained_outside &&
-        ContainedOutside(RowSet::SparseFrom({item}, data_.num_items()))) {
-      // Sharded mining: a pre-suffix row holds this item, so the suffix
-      // sees only part of its rows. Shard 0 mines the whole dataset and
-      // plants (and closes) the real seed (DESIGN.md §14).
-      return;
-    }
     const Bitset& rows = data_.item_rows(item);
+    if (rows.Intersects(out_of_scope)) return;
     auto handle = std::make_shared<GroupHandle>();
     handle->provisional = true;
     handle->group.antecedent = Bitset(data_.num_items());
@@ -900,6 +895,39 @@ void TopkSearch::ScanAndAbsorb(WorkerState& ws,
   }
 }
 
+bool TopkSearch::HeldEarlier(const WorkerState& ws, const RowSet& items,
+                             uint32_t items_count, uint32_t p) const {
+  auto holds = [&](uint32_t q) {
+    return !ws.in_x[q] && items.IsSubsetOf(data_.row_bitset(order_[q]));
+  };
+  if (items_count < p) {
+    // Finding the rarest item costs items_count probes, so it pays only
+    // when that is below the p-row walk.
+    uint32_t rarest = 0;
+    uint32_t rarest_support = UINT32_MAX;
+    items.ForEach([&](size_t item) {
+      if (item_support_[item] < rarest_support) {
+        rarest_support = item_support_[item];
+        // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
+        rarest = static_cast<uint32_t>(item);
+      }
+    });
+    if (row_words_ + rarest_support < p) {
+      const Bitset& rows = data_.item_rows(rarest);
+      for (size_t r = rows.FindFirst(); r < rows.size();
+           r = rows.FindNext(r)) {
+        const uint32_t q = position_of_[r];
+        if (q < p && holds(q)) return true;
+      }
+      return false;
+    }
+  }
+  for (uint32_t q = 0; q < p; ++q) {
+    if (holds(q)) return true;
+  }
+  return false;
+}
+
 void TopkSearch::Descend(WorkerState& ws, const RowSet& items,
                          std::span<const uint32_t> live, uint32_t child_count,
                          size_t i) {
@@ -917,18 +945,9 @@ void TopkSearch::Descend(WorkerState& ws, const RowSet& items,
   // be emitted and — when the pruning is enabled — it is not visited.
   // Redundancy propagates downward (the earlier row also contains every
   // descendant's smaller I), so in ablation mode each descendant's own
-  // check re-detects it.
-  bool child_closed = true;
-  for (uint32_t q = 0; q < p; ++q) {
-    if (!ws.in_x[q] && child_items.IsSubsetOf(data_.row_bitset(order_[q]))) {
-      child_closed = false;
-      break;
-    }
-  }
-  // Sharded mining: a pre-suffix row containing I(X ∪ {p}) is an
-  // "earlier row" of the global order exactly like the q-loop above —
-  // the child duplicates a branch an earlier shard enumerates.
-  if (child_closed && ContainedOutside(child_items)) child_closed = false;
+  // check re-detects it. In a shard, the same check hands a node that a
+  // row before the scope holds to the earlier shard that enumerates it.
+  const bool child_closed = !HeldEarlier(ws, child_items, child_count, p);
   if (!child_closed) {
     ++ws.stats.pruned_backward;
     if (opt_.use_backward_pruning) return;
@@ -1056,8 +1075,8 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
   if (opt_.deadline.Expired()) {
     timed_out_.store(true, std::memory_order_relaxed);
   } else if (items_count > 0) {
-    std::vector<uint32_t> cand(data_.num_rows());
-    std::iota(cand.begin(), cand.end(), 0u);
+    std::vector<uint32_t> cand(data_.num_rows() - opt_.begin_pos);
+    std::iota(cand.begin(), cand.end(), opt_.begin_pos);
 
     uint32_t rp = 0;
     for (uint32_t p : cand) {
@@ -1082,11 +1101,7 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
       if (pruned) {
         ++root_ws.stats.pruned_bounds;
       } else {
-        // Sharded mining: the root's group is the rows containing every
-        // frequent item. A guard hit means a pre-suffix row is one of them,
-        // so the suffix sees only part of the group; shard 0 mines the
-        // whole dataset and emits the real one (DESIGN.md §14).
-        if (!ContainedOutside(items)) EmitAt(root_ws, items, cand, &cut);
+        EmitAt(root_ws, items, cand, &cut);
 
         root_ctx->x_stack = root_ws.x_stack;
         root_ctx->xp = root_ws.xp;
@@ -1097,19 +1112,15 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
     }
   }
 
-  // Sharded mining: only first-level children at local positions below the
-  // planner's limit become subtree tasks. Children at or past the limit
-  // root subtrees whose every closed group has its earliest non-absorbed
-  // row in a LATER shard's owned range — that shard mines them (its prefix
-  // guard cannot fire on them because their defining row precedes nothing
-  // it excludes). live is ascending in position, so the eligible children
-  // are a prefix.
+  // Shard scope: only first-level children at positions below
+  // first_level_end become subtree tasks. Children at or past it root
+  // subtrees whose every closed group has its earliest non-absorbed row in
+  // a LATER shard's owned range — that shard mines them. live is ascending
+  // in position, so the eligible children are a prefix.
   uint32_t fan_limit = static_cast<uint32_t>(root_ctx->live.size());
-  if (hooks_ != nullptr) {
-    while (fan_limit > 0 &&
-           root_ctx->live[fan_limit - 1] >= hooks_->first_level_limit) {
-      --fan_limit;
-    }
+  while (fan_limit > 0 &&
+         root_ctx->live[fan_limit - 1] >= opt_.first_level_end) {
+    --fan_limit;
   }
 
   if (!fan_out || root_ctx->live.empty() || fan_limit == 0) {
@@ -1280,15 +1291,11 @@ TopkResult TopkSearch::Run() {
   Stopwatch timer;
   const Status options_status = opt_.Validate();
   TOPKRGS_CHECK(options_status.ok(), options_status.message().c_str());
+  TOPKRGS_CHECK(opt_.begin_pos <= data_.num_rows(),
+                "shard scope begins past the last row");
   initial_minsup_ = std::max<uint32_t>(1, opt_.min_support);
 
-  // Sharded mining substitutes the GLOBAL frequent-item set: a suffix's
-  // own frequent set diverges from the global one, which would change the
-  // enumeration universe and thus the emitted closures (DESIGN.md §14).
-  const Bitset frequent =
-      (hooks_ != nullptr && hooks_->frequent_items != nullptr)
-          ? *hooks_->frequent_items
-          : FrequentItems(data_, consequent_, initial_minsup_);
+  const Bitset frequent = FrequentItems(data_, consequent_, initial_minsup_);
   switch (opt_.row_order) {
     case TopkMinerOptions::RowOrder::kClassDominantWeighted:
       order_ = ClassDominantOrder(data_, consequent_, frequent);
@@ -1314,9 +1321,10 @@ TopkResult TopkSearch::Run() {
   for (uint32_t pos = 0; pos < order_.size(); ++pos) {
     position_of_[order_[pos]] = pos;
     pos_positive_[pos] = data_.label(order_[pos]) == consequent_ ? 1 : 0;
-    if (pos_positive_[pos] != 0) positive_positions_.push_back(pos);
+    if (pos_positive_[pos] != 0 && pos >= opt_.begin_pos) {
+      positive_positions_.push_back(pos);
+    }
   }
-  np_ = CountClassRows(data_, consequent_);
   item_support_.resize(data_.num_items());
   for (ItemId item = 0; item < data_.num_items(); ++item) {
     item_support_[item] = data_.ItemSupport(item);
@@ -1333,7 +1341,7 @@ TopkResult TopkSearch::Run() {
   if (opt_.seed_single_items) SeedSingleItems(frequent);
 
   const uint32_t items_count = static_cast<uint32_t>(frequent.Count());
-  if (items_count > 0 && np_ > 0) {
+  if (items_count > 0 && !positive_positions_.empty()) {
     // The root item set is (near-)dense by construction; descendants
     // re-decide their representation per node as I(X) shrinks.
     const RowSet root_items = RowSet::FromBitset(frequent);
@@ -1367,12 +1375,12 @@ Status TopkMinerOptions::Validate() const {
   if (k < 1) {
     return Status::InvalidArgument("TopkMinerOptions: k must be >= 1");
   }
-  if (shard_hooks != nullptr && row_order != RowOrder::kNatural) {
+  if ((begin_pos != 0 || first_level_end != UINT32_MAX) &&
+      row_order != RowOrder::kClassDominantWeighted) {
     return Status::InvalidArgument(
-        "TopkMinerOptions: shard_hooks require row_order == kNatural (the "
-        "shard miner presents rows already in global canonical order; any "
-        "reordering inside the shard would desynchronize first_level_limit "
-        "and the prefix containment guard from the planner's positions)");
+        "TopkMinerOptions: a shard scope requires the default row order "
+        "kClassDominantWeighted (begin_pos and first_level_end are "
+        "positions in the planner's ORD, which only that order reproduces)");
   }
   return Status::OK();
 }

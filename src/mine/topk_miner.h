@@ -2,7 +2,6 @@
 #define TOPKRGS_MINE_TOPK_MINER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,35 +15,6 @@
 #include "util/timer.h"
 
 namespace topkrgs {
-
-/// Hooks for the out-of-core sharded engine (src/scale/, DESIGN.md §14).
-/// A shard mines a SUFFIX of the globally ordered dataset, so three small
-/// deviations from stand-alone mining are needed to keep the sharded
-/// merge bit-identical to a single-shot run:
-///
-///  - `frequent_items`: the GLOBAL frequent-item set. Per-suffix frequent
-///    sets diverge (an item frequent globally may fall below minsup in a
-///    suffix and vice versa), which would change the enumeration universe
-///    and thus the emitted closures.
-///  - `first_level_limit`: only first-level children whose LOCAL canonical
-///    position is < limit become subtree tasks. The shard planner sets
-///    this to the shard's owned positive range so each closed group is
-///    mined by exactly one shard (the one owning min R(G) \ absorbed).
-///  - `contained_outside`: "is this itemset contained in some row BEFORE
-///    this shard's suffix?" — the out-of-shard half of the paper's
-///    backward check (Step 7). A hit means the node duplicates a branch
-///    an earlier shard enumerates, exactly like an in-dataset earlier
-///    row, so the subtree is skipped and guarded seeds are not planted.
-///    MUST be thread-safe: workers call it concurrently.
-///
-/// All three default to "no hook" (stand-alone behavior). The struct is
-/// borrowed via `TopkMinerOptions::shard_hooks` and must outlive the
-/// MineTopkRGS call.
-struct ShardHooks {
-  const Bitset* frequent_items = nullptr;
-  uint32_t first_level_limit = 0xffffffffu;
-  std::function<bool(const RowSet&)> contained_outside;
-};
 
 /// Options of algorithm MineTopkRGS (Figure 3 of the paper). The pruning
 /// toggles exist for the ablation benchmarks; all default to the paper's
@@ -117,15 +87,20 @@ struct TopkMinerOptions {
     return 64ull * k;
   }
 
-  /// Sharded-mining hooks (borrowed, may be null = stand-alone mining).
-  /// Only meaningful with row_order == kNatural: the shard miner feeds
-  /// suffix datasets already in global canonical order, and re-ordering
-  /// inside the shard would break the position arithmetic behind
-  /// `first_level_limit` and the prefix guard. Validate() enforces this.
-  const ShardHooks* shard_hooks = nullptr;
+  /// Shard scope (src/scale/, DESIGN.md §14): the miner enumerates only
+  /// rows at ORD positions >= begin_pos and fans out only the first-level
+  /// subtrees rooted below position first_level_end. Rows before begin_pos
+  /// stay in the dataset, so the Step 7 backward check sees them exactly as
+  /// a single-shot search does — a node one of them contains belongs to an
+  /// earlier shard. The defaults (0, UINT32_MAX) are stand-alone mining.
+  /// Positions index the default ORD; Validate() rejects a scope under any
+  /// other row order.
+  uint32_t begin_pos = 0;
+  uint32_t first_level_end = 0xffffffffu;
 
   /// Rejects contradictory option combinations instead of silently picking
-  /// a winner: k == 0, or shard hooks with a row order other than kNatural.
+  /// a winner: k == 0, or a shard scope with a row order other than the
+  /// default kClassDominantWeighted.
   Status Validate() const;
 };
 

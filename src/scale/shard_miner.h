@@ -18,36 +18,41 @@ namespace topkrgs {
 /// for the default configuration.
 struct ShardMineOptions {
   /// Worker threads INSIDE each shard (the PR 7 work-stealing pool);
-  /// shards themselves run sequentially so only one dense suffix dataset
-  /// is ever resident.
+  /// shards themselves run sequentially over one shared dataset.
   uint32_t threads = 1;
   /// Per-shard wall-clock budget; an expiry marks stats.timed_out and the
   /// merged output is then incomplete (never silently wrong).
   Deadline deadline;
 };
 
-/// One shard's mining output, remapped to GLOBAL coordinates: per_pos is
-/// indexed by global canonical positive position (lists are empty below
-/// the shard's begin_pos), every group's row_support is over original
-/// global row ids, and list order — significance descending, canonical
-/// discovery order within ties — is preserved for the merge's replay.
+/// One shard's mining output: per_pos[i] is the list of the
+/// consequent-class row at global canonical position begin_pos + i, for
+/// every position up to plan.positives. Groups carry original row ids, and
+/// list order — significance descending, canonical discovery order within
+/// ties — is preserved for the merge's replay.
 struct ShardResult {
   uint32_t shard_index = 0;
   std::vector<std::vector<RuleGroupPtr>> per_pos;
   MinerStats stats;
 };
 
-/// Materializes the dense suffix dataset shard `shard_index` mines: rows
-/// at global canonical positions [begin_pos, num_rows), in that order
-/// (every negative row is part of every suffix — canonical order is
-/// class-dominant, so negatives all sort after the positives).
+/// Materializes a dense dataset of the rows at global canonical positions
+/// [begin_pos, num_rows) of shard `shard_index`, in that order (every
+/// negative row is part of every suffix — canonical order is
+/// class-dominant, so negatives all sort after the positives). The
+/// library itself does not call it; benchmark code times it as the cost
+/// of a per-shard copy.
 DiscreteDataset BuildSuffixDataset(const TransposedView& view,
                                    const ShardPlan& plan,
                                    uint32_t shard_index);
 
-/// Mines one shard: builds the suffix dataset and the prefix containment
-/// guard, runs MineTopkRGS under the plan's ShardHooks, and remaps the
-/// result to global coordinates.
+/// Mines shard `shard_index` of `plan` on `data`, the materialized
+/// dataset of the planned view: MineTopkRGS scoped to the shard's range of
+/// ORD positions (TopkMinerOptions::begin_pos / first_level_end).
+ShardResult MineShard(const DiscreteDataset& data, const ShardPlan& plan,
+                      uint32_t shard_index, const ShardMineOptions& options);
+
+/// As above, materializing the dataset from `view` for this one call.
 ShardResult MineShard(const TransposedView& view, const ShardPlan& plan,
                       uint32_t shard_index, const ShardMineOptions& options);
 

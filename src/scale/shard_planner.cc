@@ -14,11 +14,9 @@ namespace {
 
 uint64_t BitsetBytes(uint64_t universe) { return ((universe + 63) / 64) * 8; }
 
-/// Peak-memory model for the sharded run (documented in DESIGN.md §14).
-/// Shard 0's suffix is the whole dataset, so the dense per-shard indexes
-/// are maximal there; the prefix-guard postings are maximal at the LAST
-/// shard (one bitset column per item over up to `np` prefix positions).
-/// The CSR table stays resident throughout.
+/// Peak-memory model for the sharded run (documented in DESIGN.md §14):
+/// the CSR table, the one dense dataset every shard mines with its row
+/// and item indexes, and the result lists.
 ///
 /// Checked throughout: every factor except `k` is bounded by the view's
 /// validated shape (items <= kMaxItemUniverse, nnz <= rows × items), but
@@ -35,7 +33,6 @@ StatusOr<uint64_t> EstimatePeakBytes(const TransposedView& view, uint32_t np,
   const uint64_t dataset = rows * BitsetBytes(items)   // row bitsets
                            + items * BitsetBytes(rows)  // item rowsets
                            + view.nnz() * sizeof(ItemId) + rows * 32;
-  const uint64_t guard = items * BitsetBytes(np);
   // Result lists: np rows × k shared handles plus a generous allowance for
   // distinct groups (each an item bitset + a row bitset).
   auto np_k = CheckedMul<uint64_t>(np, k, what);
@@ -46,7 +43,7 @@ StatusOr<uint64_t> EstimatePeakBytes(const TransposedView& view, uint32_t np,
       handles.value(), 4096 * (BitsetBytes(items) + BitsetBytes(rows) + 64),
       what);
   if (!results.ok()) return results.status();
-  auto total = CheckedAdd<uint64_t>(csr + dataset + guard, results.value(),
+  auto total = CheckedAdd<uint64_t>(csr + dataset, results.value(),
                                     what);
   if (!total.ok()) return total.status();
   return total.value();
@@ -142,8 +139,8 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
         "memory budget " + std::to_string(options.memory_budget_bytes) +
         " bytes is below the irreducible sharded working set (~" +
         std::to_string(peak) +
-        " bytes: CSR table + shard 0's dense suffix indexes + guard + "
-        "result lists); raise --memory-budget");
+        " bytes: CSR table + dense dataset indexes + result lists); raise "
+        "--memory-budget");
   }
 
   const uint32_t np = plan.positives;
@@ -151,17 +148,16 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
     return plan;  // nothing to mine; shards stays empty
   }
 
-  // Shard count: explicit, or sized so each shard's marginal allocations
-  // (guard postings grow by ~items/8 bytes per owned position, result
-  // lists by ~k dense group handles) stay within a quarter of the budget.
+  // Shard count: explicit, or sized so each shard's result lists (~k dense
+  // group handles per owned position) stay within a quarter of the budget.
   uint32_t count = options.shard_count;
   if (count == 0) {
     if (options.memory_budget_bytes == 0) {
       count = 1;
     } else {
-      const uint64_t per_pos = num_items / 8 + 1 +
-                               static_cast<uint64_t>(options.k) *
-                                   (BitsetBytes(num_items) + BitsetBytes(num_rows));
+      const uint64_t per_pos =
+          static_cast<uint64_t>(options.k) *
+          (BitsetBytes(num_items) + BitsetBytes(num_rows));
       const uint64_t rows_per_shard =
           std::max<uint64_t>(1, options.memory_budget_bytes / 4 / per_pos);
       // NOLINT(cast: min() result <= np, a uint32)
@@ -174,9 +170,9 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
 
   // Even split of the positive positions; the first `extra` shards take
   // one more. Shards beginning after the earliest root-absorbed row are
-  // never planned (their prefix guard suppresses everything), and the
-  // shard that CONTAINS it owns every group rooted at or past it — its
-  // first-level fan-out is unlimited.
+  // never planned (the backward check against that row suppresses
+  // everything), and the shard that CONTAINS it owns every group rooted at
+  // or past it — its first-level fan-out is unlimited.
   const uint32_t base = np / count;
   const uint32_t extra = np % count;
   uint32_t begin = 0;
@@ -189,13 +185,13 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
       // This shard owns every group rooted at or past the earliest
       // absorbed row (that row is in EVERY closed rowset, pinning min(R)
       // inside this range): unlimited fan-out, and every later shard
-      // would be suppressed wholesale by its prefix guard.
+      // would be suppressed wholesale by the backward check.
       range.end_pos = np;
-      range.first_level_limit = UINT32_MAX;
+      range.first_level_end = UINT32_MAX;
       plan.shards.push_back(range);
       break;
     }
-    range.first_level_limit = range.end_pos - range.begin_pos;
+    range.first_level_end = range.end_pos;
     plan.shards.push_back(range);
     begin = range.end_pos;
   }

@@ -115,8 +115,7 @@ class StreamReader {
 /// Materializes a DiscreteDataset (dense row bitsets + item rowsets) from
 /// a transposed view, preserving original row order. This is the bridge to
 /// the in-memory miner — callers opt into the O(rows × items / 8) bitset
-/// cost explicitly; the shard miner does this per suffix, never for data
-/// it does not intend to mine.
+/// cost explicitly; MineShardedTopkRGS does this once per run.
 DiscreteDataset MaterializeDataset(const TransposedView& view);
 
 }  // namespace topkrgs

@@ -29,14 +29,15 @@ MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,
     // per-position lists in order, so neither bucket order nor
     // addresses can leak into the merge)
     std::unordered_map<const RuleGroup*, HandlePtr> wrapped;
-    for (uint32_t pos = 0; pos < shard.per_pos.size(); ++pos) {
-      for (const RuleGroupPtr& group : shard.per_pos[pos]) {
+    const uint32_t begin = plan.shards[shard.shard_index].begin_pos;
+    for (uint32_t i = 0; i < shard.per_pos.size(); ++i) {
+      for (const RuleGroupPtr& group : shard.per_pos[i]) {
         HandlePtr& handle = wrapped[group.get()];
         if (handle == nullptr) {
           handle = std::make_shared<GroupHandle>();
           handle->group = *group;
         }
-        lists.Insert(plan.order[pos], handle);
+        lists.Insert(plan.order[begin + i], handle);
       }
     }
   }
@@ -88,12 +89,14 @@ StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,
   MinerStats aggregate;
   std::vector<ShardResult> results;
   results.reserve(plan.shards.size());
-  for (uint32_t p = 0; p < plan.shards.size(); ++p) {
-    // Each shard's dense suffix dataset and guard live only inside this
-    // call — one shard's working set is resident at a time.
-    ShardResult result = MineShard(view, plan, p, mine_options);
-    aggregate.Add(result.stats);
-    results.push_back(std::move(result));
+  if (!plan.shards.empty()) {
+    // Every shard mines the same dataset, scoped to its range of positions.
+    const DiscreteDataset data = MaterializeDataset(view);
+    for (uint32_t p = 0; p < plan.shards.size(); ++p) {
+      ShardResult result = MineShard(data, plan, p, mine_options);
+      aggregate.Add(result.stats);
+      results.push_back(std::move(result));
+    }
   }
 
   MergedTopk merged = MergeShardResults(view, plan, results);

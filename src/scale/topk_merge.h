@@ -28,10 +28,10 @@ struct MergedTopk {
 
 /// Merges per-shard results into the global per-row top-k in one pass:
 /// each shard's final lists are replayed, shard → position → list order,
-/// through the miner's own TopkLists. Shard 0 mines the whole dataset, so
-/// its lists already hold the seeds, the root group and the closed seeds;
-/// shard p's list for a position is the top-k of the next canonical
-/// segment of the single-shot insertion stream, and top-k with
+/// through the miner's own TopkLists. Shard 0's scope is the whole
+/// dataset, so its lists already hold the seeds, the root group and the
+/// closed seeds; shard p's list for a position is the top-k of the next
+/// canonical segment of the single-shot insertion stream, and top-k with
 /// first-arrival tie-breaking composes over concatenation. Duplicates a
 /// later shard re-derives (seeds, the root group) collapse through the
 /// identity-triple dedup. See DESIGN.md §14 for the argument.
@@ -46,8 +46,8 @@ MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,
 uint64_t TopkDigest(const std::vector<std::vector<RuleGroupPtr>>& per_row,
                     uint32_t effective_min_support);
 
-/// End-to-end sharded mining: plan, mine each shard sequentially (one
-/// dense suffix dataset resident at a time), merge. On success `plan_out`
+/// End-to-end sharded mining: plan, materialize the dataset once, mine
+/// each shard on it sequentially, merge. On success `plan_out`
 /// (when non-null) receives the executed plan for reporting. Fails only
 /// on planning errors (bad consequent, infeasible memory budget).
 StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,

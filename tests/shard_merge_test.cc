@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/dataset.h"
+#include "mine/miner_common.h"
 #include "mine/topk_miner.h"
 #include "scale/shard_planner.h"
 #include "scale/stream_reader.h"
@@ -15,6 +16,7 @@
 #include "synth/scale_profile.h"
 #include "test_util.h"
 #include "util/bitset.h"
+#include "util/random.h"
 
 namespace topkrgs {
 namespace {
@@ -170,7 +172,7 @@ void ExpectRootAndSeedListed(const TransposedView& view, ClassLabel consequent,
 /// (2, 2) takes the first slot there, so the three tie for the k-th. The
 /// tie discipline must keep the canonically-earliest in every shard
 /// split, which is exactly where a merge with the wrong tie order breaks.
-TEST(ShardMergeTest, TieSaturatedKthSlot) {
+std::string TieSaturatedText() {
   std::string text;
   text += "1\t0 1 2\n";  // rows 0-1: all three patterns
   text += "1\t0 1 2\n";
@@ -180,7 +182,11 @@ TEST(ShardMergeTest, TieSaturatedKthSlot) {
   text += "0\t0\n";  // negatives: one per pattern
   text += "0\t1\n";
   text += "0\t2\n";
-  const StreamedTable table = TableFromText(text);
+  return text;
+}
+
+TEST(ShardMergeTest, TieSaturatedKthSlot) {
+  const StreamedTable table = TableFromText(TieSaturatedText());
 
   // Sanity: on the shared rows the (2, 2) root group outranks the three
   // (6, 7) groups, which tie for the second slot of k=2.
@@ -214,7 +220,7 @@ TEST(ShardMergeTest, MicroProfileNegativeClassConsequent) {
 /// A dataset where two rows contain every frequent item: the earliest
 /// absorbed row truncates the plan (later shards are provably inert), and
 /// the absorbing shard takes unlimited fan-out. Output must not change.
-TEST(ShardMergeTest, AbsorbedRowTruncatesPlan) {
+std::string AbsorbedRowText() {
   std::string text;
   text += "1\t0 1 2 3\n";  // rows 0-1 contain every (frequent) item
   text += "1\t0 1 2 3\n";
@@ -226,7 +232,11 @@ TEST(ShardMergeTest, AbsorbedRowTruncatesPlan) {
   text += "0\t0 1\n";  // negatives: only the root group stays at 100%
   text += "0\t2 3\n";
   text += "0\t0 2\n";
-  const StreamedTable table = TableFromText(text);
+  return text;
+}
+
+TEST(ShardMergeTest, AbsorbedRowTruncatesPlan) {
+  const StreamedTable table = TableFromText(AbsorbedRowText());
 
   ShardPlanOptions plan_opt;
   plan_opt.k = 2;
@@ -238,7 +248,7 @@ TEST(ShardMergeTest, AbsorbedRowTruncatesPlan) {
   // the positives: every shard up to the first of them survives, and the
   // one holding it gets unlimited fan-out.
   ASSERT_FALSE(plan_or.value().shards.empty());
-  EXPECT_EQ(plan_or.value().shards.back().first_level_limit, UINT32_MAX);
+  EXPECT_EQ(plan_or.value().shards.back().first_level_end, UINT32_MAX);
   EXPECT_EQ(plan_or.value().shards.back().end_pos, plan_or.value().positives);
   ExpectRootAndSeedListed(table.View(), 1, 2, 2);
 
@@ -257,6 +267,124 @@ TEST(ShardMergeTest, DegenerateShapes) {
   const StreamedTable single = TableFromText("1\t0 1\n0\t0\n0\t2\n");
   CheckShardInvariance(single.View(), 1, 2, 1, {1, 2}, {1},
                        "single positive row");
+}
+
+/// 30 positives and 15 negatives over 10 items only positives hold and 6
+/// shared ones, each present with probability 0.6. Every group of the
+/// class-pure items has confidence 100%, so the per-row lists fill with
+/// 100% groups early and the dynamic minsup raise fires inside later
+/// shards too, not only in shard 0.
+std::string ClassPureText() {
+  Rng rng(1);
+  std::string text;
+  for (int r = 0; r < 45; ++r) {
+    const bool positive = r < 30;
+    text += positive ? "1\t" : "0\t";
+    const char* sep = "";
+    for (int item = 0; item < 16; ++item) {
+      if (item < 10 && !positive) continue;
+      if (rng.NextBool(0.6)) {
+        text += sep + std::to_string(item);
+        sep = " ";
+      }
+    }
+    text += "\n";
+  }
+  return text;
+}
+
+TEST(ShardMergeTest, ClassPureItemsAcrossShardAndThreadCounts) {
+  const StreamedTable table = TableFromText(ClassPureText());
+  CheckShardInvariance(table.View(), 1, 1, 2, {1, 2, 3, 7, 14, 16}, {1, 8},
+                       "class-pure items");
+}
+
+/// A shard's begin_pos indexes the miner's own ORD on the materialized
+/// dataset, so the planner's order and frequent set, recomputed from CSR
+/// postings, must equal ClassDominantOrder and FrequentItems exactly —
+/// stable tie order included (the tie-saturated rows 2-13 all weigh one
+/// frequent item).
+void ExpectPlanMatchesMinerOrder(const TransposedView& view,
+                                 ClassLabel consequent, uint32_t minsup,
+                                 const std::string& context) {
+  ShardPlanOptions plan_opt;
+  plan_opt.min_support = minsup;
+  auto plan_or = PlanShards(view, consequent, plan_opt);
+  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
+  const ShardPlan& plan = plan_or.value();
+  const DiscreteDataset data = MaterializeDataset(view);
+  const Bitset frequent =
+      FrequentItems(data, consequent, plan.initial_min_support);
+  EXPECT_EQ(plan.frequent, frequent) << context;
+  EXPECT_EQ(plan.order, ClassDominantOrder(data, consequent, frequent))
+      << context;
+}
+
+TEST(ShardMergeTest, PlanOrderIsTheMinersOrder) {
+  const StreamedTable tie = TableFromText(TieSaturatedText());
+  ExpectPlanMatchesMinerOrder(tie.View(), 1, 2, "tie-saturated");
+  ExpectPlanMatchesMinerOrder(tie.View(), 0, 1, "tie-saturated class 0");
+  const StreamedTable absorbed = TableFromText(AbsorbedRowText());
+  ExpectPlanMatchesMinerOrder(absorbed.View(), 1, 2, "absorbed row");
+  const StreamedTable pure = TableFromText(ClassPureText());
+  ExpectPlanMatchesMinerOrder(pure.View(), 1, 2, "class-pure items");
+  const ScaleProfile profile = ScaleProfile::Micro();
+  const StreamedTable micro = TableFromProfile(profile);
+  for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
+    ExpectPlanMatchesMinerOrder(micro.View(), cls,
+                                profile.SuggestedMinSupport(),
+                                "micro cls=" + std::to_string(int{cls}));
+  }
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    const StreamedTable random = TableFromDataset(
+        testing_util::RandomDataset(seed, 10, 12, 0.4));
+    for (uint32_t minsup : {1u, 2u, 3u}) {
+      ExpectPlanMatchesMinerOrder(random.View(), 1, minsup,
+                                  "random seed=" + std::to_string(seed));
+    }
+  }
+}
+
+/// Summed one-thread search counters across the shards of the class-pure
+/// dataset. A shard scope that prunes less leaves the digest intact, so
+/// the oracle cannot see it; these counters can. A minsup raise that still
+/// waits on rows before the scope, for one, shows in cut_rows_scanned.
+/// The values are the ones the per-shard suffix-dataset engine produced on
+/// the same input. (freq_scans/postings_scans are left out: item supports
+/// are full-dataset supports now, which moves the Step 10 method choice.)
+TEST(ShardMergeTest, OneThreadCountersPerShardCount) {
+  struct Expected {
+    uint32_t shards;
+    uint64_t nodes_visited;
+    uint64_t pruned_bounds;
+    uint64_t pruned_backward;
+    uint64_t groups_emitted;
+    uint64_t cut_rows_scanned;
+  };
+  const Expected expected[] = {
+      {1, 159, 2708, 284, 0, 4415},
+      {2, 336, 4393, 1126, 55, 10940},
+      {4, 444, 6395, 1086, 49, 12868},
+      {7, 759, 8948, 3214, 139, 30119},
+  };
+  const StreamedTable table = TableFromText(ClassPureText());
+  for (const Expected& e : expected) {
+    ShardPlanOptions plan_opt;
+    plan_opt.k = 1;
+    plan_opt.min_support = 2;
+    plan_opt.shard_count = e.shards;
+    ShardMineOptions mine_opt;
+    mine_opt.threads = 1;
+    auto merged_or = MineShardedTopkRGS(table.View(), 1, plan_opt, mine_opt);
+    ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
+    const MinerStats& stats = merged_or.value().stats;
+    const std::string context = "shards=" + std::to_string(e.shards);
+    EXPECT_EQ(stats.nodes_visited, e.nodes_visited) << context;
+    EXPECT_EQ(stats.pruned_bounds, e.pruned_bounds) << context;
+    EXPECT_EQ(stats.pruned_backward, e.pruned_backward) << context;
+    EXPECT_EQ(stats.groups_emitted, e.groups_emitted) << context;
+    EXPECT_EQ(stats.cut_rows_scanned, e.cut_rows_scanned) << context;
+  }
 }
 
 /// Partition-and-merge oracle on a random grid (seed × k × minsup, both

@@ -419,5 +419,27 @@ TEST(TopkMinerTest, LargerKFindsSupersetOfSmallerK) {
   }
 }
 
+/// begin_pos and first_level_end are positions in the default ORD, which
+/// the shard planner reproduces; any other row order would give them a
+/// different meaning, so Validate rejects the combination.
+TEST(TopkMinerOptionsTest, ShardScopeRequiresTheDefaultRowOrder) {
+  TopkMinerOptions options;
+  options.begin_pos = 3;
+  options.first_level_end = 5;
+  EXPECT_TRUE(options.Validate().ok());
+  for (const auto order : {TopkMinerOptions::RowOrder::kClassDominant,
+                           TopkMinerOptions::RowOrder::kNatural}) {
+    options.row_order = order;
+    options.begin_pos = 3;
+    options.first_level_end = UINT32_MAX;
+    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+    options.begin_pos = 0;
+    options.first_level_end = 5;
+    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+    options.first_level_end = UINT32_MAX;
+    EXPECT_TRUE(options.Validate().ok());
+  }
+}
+
 }  // namespace
 }  // namespace topkrgs

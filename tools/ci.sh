@@ -3,7 +3,7 @@
 #
 #   tsan  — build the ThreadSanitizer preset and run the parallel-miner
 #           determinism tests, the sharded-merge oracle (8-thread shards
-#           with a concurrently called prefix guard) and the
+#           over one shared dataset) and the
 #           classifier/serving thread-safety tests under it. The parallel
 #           MineTopkRGS promises bit-for-bit identical results for any
 #           thread count, and the serving stack promises lock-free
