@@ -30,6 +30,20 @@ void SortRulesByPrecedence(std::vector<Rule>* rules) {
   *rules = std::move(sorted);
 }
 
+namespace {
+
+/// The most frequent class of a histogram; the lowest label on ties.
+ClassLabel Majority(const std::vector<uint32_t>& counts) {
+  ClassLabel majority = 0;
+  for (uint32_t c = 1; c < counts.size(); ++c) {
+    // NOLINT(cast: c indexes the histogram, one count per class label)
+    if (counts[c] > counts[majority]) majority = static_cast<ClassLabel>(c);
+  }
+  return majority;
+}
+
+}  // namespace
+
 CbaClassifier CbaClassifier::FromParts(std::vector<Rule> rules,
                                        ClassLabel default_class) {
   CbaClassifier clf;
@@ -48,8 +62,9 @@ CbaClassifier CbaClassifier::TrainFromRules(const DiscreteDataset& train,
   std::vector<bool> covered(n, false);
   uint32_t remaining = n;
 
-  std::vector<uint32_t> class_remaining(train.num_classes(), 0);
-  for (RowId r = 0; r < n; ++r) ++class_remaining[train.label(r)];
+  const std::vector<uint32_t> class_counts = train.ClassCounts();
+  const ClassLabel train_majority = Majority(class_counts);
+  std::vector<uint32_t> class_remaining = class_counts;
 
   struct Step {
     uint32_t rule_errors;      // misclassified among rows this rule removed
@@ -79,32 +94,18 @@ CbaClassifier CbaClassifier::TrainFromRules(const DiscreteDataset& train,
       --class_remaining[train.label(r)];
       if (train.label(r) != rule.consequent) ++rule_errors;
     }
-    ClassLabel majority = 0;
-    for (uint32_t c = 1; c < class_remaining.size(); ++c) {
-      if (class_remaining[c] > class_remaining[majority]) {
-        majority = static_cast<ClassLabel>(c);
-      }
-    }
+    // Once every training row is covered there is no remaining majority;
+    // the default then falls back to the training majority.
+    const ClassLabel majority =
+        remaining == 0 ? train_majority : Majority(class_remaining);
     const uint32_t default_errors = remaining - class_remaining[majority];
     steps.push_back(Step{rule_errors, majority, default_errors});
     selected.push_back(std::move(rule));
   }
 
   // Step 4: cut the list at the prefix with the least total error.
-  ClassLabel best_default = 0;
-  {
-    std::vector<uint32_t> counts = train.ClassCounts();
-    for (uint32_t c = 1; c < counts.size(); ++c) {
-      if (counts[c] > counts[best_default]) {
-        best_default = static_cast<ClassLabel>(c);
-      }
-    }
-  }
-  uint32_t best_errors = n;  // empty classifier: default over everything
-  {
-    std::vector<uint32_t> counts = train.ClassCounts();
-    best_errors = n - counts[best_default];
-  }
+  ClassLabel best_default = train_majority;
+  uint32_t best_errors = n - class_counts[train_majority];  // no rules
   size_t best_len = 0;
   uint32_t cumulative = 0;
   for (size_t i = 0; i < steps.size(); ++i) {

@@ -9,16 +9,19 @@
 
 namespace topkrgs {
 
-/// Options of algorithm FindLB (Figure 5): breadth-first search for the
-/// `nl` shortest lower bound rules of a rule group, expanding items in
-/// descending discriminative-score order.
+/// Options of algorithm FindLB (Figure 5): the search for the `nl`
+/// shortest lower bound rules of a rule group, trying items in descending
+/// discriminative-score order. It runs as a minimal-transversal search
+/// (find_lb.cc) that returns the rules of the paper's breadth-first walk,
+/// in the same order, whenever max_candidates does not cut that walk short.
 struct FindLbOptions {
   /// Number of lower bounds requested (nl).
   uint32_t num_lower_bounds = 1;
   /// Maximum antecedent size searched; the paper observes real lower
   /// bounds contain 1-5 items.
   uint32_t max_depth = 5;
-  /// Upper limit on examined candidate combinations (safety valve for the
+  /// Upper limit on leaf probes per window: full-size candidate
+  /// combinations tested as lower bounds (safety valve for the
   /// exponential worst case).
   uint64_t max_candidates = 2000000;
 };

@@ -38,6 +38,34 @@ double PartitionEntropy(const std::vector<std::vector<uint32_t>>& partitions) {
   return h;
 }
 
+bool BestBoundarySplit(const double* values, const uint8_t* labels, size_t n,
+                       const std::vector<uint32_t>& total,
+                       BoundarySplit* split) {
+  split->sides.resize(2);
+  std::vector<uint32_t>& left = split->sides[0];
+  std::vector<uint32_t>& right = split->sides[1];
+  left.assign(total.size(), 0);
+  right.assign(total.begin(), total.end());
+  bool found = false;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    ++left[labels[i]];
+    --right[labels[i]];
+    if (values[i] == values[i + 1]) continue;
+    const double cond = PartitionEntropy(split->sides);
+    if (!found || cond < split->entropy) {
+      split->entropy = cond;
+      split->last_left = i;
+      found = true;
+    }
+  }
+  if (!found) return false;
+  // Rebuild the two histograms of the best cut once.
+  left.assign(total.size(), 0);
+  for (size_t i = 0; i <= split->last_left; ++i) ++left[labels[i]];
+  for (size_t c = 0; c < total.size(); ++c) right[c] = total[c] - left[c];
+  return true;
+}
+
 double InformationGain(const std::vector<uint32_t>& total,
                        const std::vector<std::vector<uint32_t>>& partitions) {
   return Entropy(total) - PartitionEntropy(partitions);
@@ -90,28 +118,23 @@ bool BestBinarySplit(const std::vector<double>& values,
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return values[a] < values[b];
   });
+  std::vector<double> sorted_values(n);
+  std::vector<uint8_t> sorted_labels(n);
+  for (size_t i = 0; i < n; ++i) {
+    sorted_values[i] = values[order[i]];
+    sorted_labels[i] = labels[order[i]];
+  }
 
   std::vector<uint32_t> total(num_classes, 0);
   for (uint8_t l : labels) ++total[l];
-
-  std::vector<uint32_t> left(num_classes, 0);
-  std::vector<uint32_t> right = total;
-  double best_cond = -1.0;
-  bool found = false;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    const uint8_t l = labels[order[i]];
-    ++left[l];
-    --right[l];
-    if (values[order[i]] == values[order[i + 1]]) continue;
-    const double cond = PartitionEntropy({left, right});
-    if (!found || cond < best_cond) {
-      best_cond = cond;
-      *best_left = left;
-      *best_right = right;
-      found = true;
-    }
+  BoundarySplit split;
+  if (!BestBoundarySplit(sorted_values.data(), sorted_labels.data(), n, total,
+                         &split)) {
+    return false;
   }
-  return found;
+  *best_left = std::move(split.sides[0]);
+  *best_right = std::move(split.sides[1]);
+  return true;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #ifndef TOPKRGS_CORE_STATS_H_
 #define TOPKRGS_CORE_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -13,6 +14,25 @@ double Entropy(const std::vector<uint32_t>& counts);
 /// Class entropy of a partition: weighted average of the entropies of
 /// `partitions`, each a class-count histogram.
 double PartitionEntropy(const std::vector<std::vector<uint32_t>>& partitions);
+
+/// The best binary split of a value-sorted sequence (BestBoundarySplit).
+struct BoundarySplit {
+  size_t last_left = 0;  // the cut follows this position
+  double entropy = 0.0;  // PartitionEntropy(sides) of the cut
+  /// The class histograms {left, right} of the two sides, kept as one
+  /// partition list so the scan hands it to PartitionEntropy uncopied.
+  std::vector<std::vector<uint32_t>> sides;
+};
+
+/// The boundary scan shared by the entropy discretizer and the gene
+/// scores. Over `n` (value, label) pairs sorted by value, with class
+/// histogram `total`, finds the cut between two different neighbouring
+/// values with the lowest PartitionEntropy, the first on ties. Returns
+/// false when all values are equal. Reusing one `split` across calls
+/// makes the scan allocation-free.
+bool BestBoundarySplit(const double* values, const uint8_t* labels, size_t n,
+                       const std::vector<uint32_t>& total,
+                       BoundarySplit* split);
 
 /// Information gain of splitting `total` (class histogram) into `partitions`.
 double InformationGain(const std::vector<uint32_t>& total,

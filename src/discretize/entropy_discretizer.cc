@@ -144,37 +144,24 @@ class GeneSplitter {
     if (ClassesPresent(total) < 2) return;  // pure partition
 
     // Scan boundary points: candidate cut between i and i+1 where the value
-    // changes. Track the split minimizing conditional entropy.
-    std::vector<uint32_t> left(num_classes_, 0);
-    std::vector<uint32_t> right = total;
-    double best_cond = -1.0;
-    size_t best_i = 0;
-    std::vector<uint32_t> best_left, best_right;
-    for (size_t i = begin; i + 1 < end; ++i) {
-      ++left[labels_[i]];
-      --right[labels_[i]];
-      if (values_[i] == values_[i + 1]) continue;
-      const double cond = PartitionEntropy({left, right});
-      if (best_cond < 0 || cond < best_cond) {
-        best_cond = cond;
-        best_i = i;
-        best_left = left;
-        best_right = right;
-      }
+    // changes. Take the split minimizing conditional entropy.
+    if (!BestBoundarySplit(values_.data() + begin, labels_.data() + begin, n,
+                           total, &split_)) {
+      return;  // constant values: no boundary
     }
-    if (best_cond < 0) return;  // constant values: no boundary
+    const size_t best_i = begin + split_.last_left;
 
     const double ent_s = Entropy(total);
-    const double gain = ent_s - best_cond;
+    const double gain = ent_s - split_.entropy;
     if (options_.use_mdl) {
       // MDL acceptance (Fayyad & Irani 1993):
       //   gain > log2(n-1)/n + delta/n
       //   delta = log2(3^k - 2) - (k*Ent(S) - k1*Ent(S1) - k2*Ent(S2))
       const double k = ClassesPresent(total);
-      const double k1 = ClassesPresent(best_left);
-      const double k2 = ClassesPresent(best_right);
-      const double ent1 = Entropy(best_left);
-      const double ent2 = Entropy(best_right);
+      const double k1 = ClassesPresent(split_.sides[0]);
+      const double k2 = ClassesPresent(split_.sides[1]);
+      const double ent1 = Entropy(split_.sides[0]);
+      const double ent2 = Entropy(split_.sides[1]);
       const double delta = std::log2(std::pow(3.0, k) - 2.0) -
                            (k * ent_s - k1 * ent1 - k2 * ent2);
       const double threshold =
@@ -185,7 +172,8 @@ class GeneSplitter {
       return;
     }
 
-    // Cut at the midpoint between the boundary values.
+    // Cut at the midpoint between the boundary values. split_ is scratch
+    // shared with the recursion below, so nothing reads it past here.
     cuts->push_back(0.5 * (values_[best_i] + values_[best_i + 1]));
     Split(begin, best_i + 1, depth + 1, cuts);
     Split(best_i + 1, end, depth + 1, cuts);
@@ -195,51 +183,43 @@ class GeneSplitter {
   const std::vector<uint8_t>& labels_;
   const uint32_t num_classes_;
   const EntropyDiscretizer::Options& options_;
+  BoundarySplit split_;  // the boundary scan's counters, reused per call
 };
 
 }  // namespace
 
 Discretization EntropyDiscretizer::Fit(const ContinuousDataset& train) const {
   TOPKRGS_CHECK(train.num_rows() > 0, "cannot fit on empty dataset");
-  Discretization result;
+  std::vector<GeneId> genes;
+  std::vector<std::vector<double>> gene_cuts;
 
   const uint32_t n = train.num_rows();
+  // Per-gene buffers, reused for every gene: the row-major matrix is read
+  // once per gene into `column`, and the sort compares in that copy.
+  std::vector<double> column(n);
   std::vector<uint32_t> order(n);
   std::vector<double> sorted_values(n);
   std::vector<uint8_t> sorted_labels(n);
+  GeneSplitter splitter(sorted_values, sorted_labels, train.num_classes(),
+                        options_);
 
   for (GeneId g = 0; g < train.num_genes(); ++g) {
+    for (uint32_t r = 0; r < n; ++r) column[r] = train.value(r, g);
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return train.value(a, g) < train.value(b, g);
+      return column[a] < column[b];
     });
     for (uint32_t i = 0; i < n; ++i) {
-      sorted_values[i] = train.value(order[i], g);
+      sorted_values[i] = column[order[i]];
       sorted_labels[i] = train.label(order[i]);
     }
     std::vector<double> cuts;
-    GeneSplitter splitter(sorted_values, sorted_labels, train.num_classes(),
-                          options_);
     splitter.Run(&cuts);
     if (cuts.empty()) continue;  // gene dropped: no MDL-accepted cut
-
-    const uint32_t selected_index =
-        static_cast<uint32_t>(result.selected_genes_.size());
-    result.selected_genes_.push_back(g);
-    result.gene_first_item_.push_back(
-        static_cast<ItemId>(result.items_.size()));
-    for (uint32_t interval = 0; interval <= cuts.size(); ++interval) {
-      ItemInfo info;
-      info.gene = g;
-      info.interval = interval;
-      if (interval > 0) info.lo = cuts[interval - 1];
-      if (interval < cuts.size()) info.hi = cuts[interval];
-      result.items_.push_back(info);
-    }
-    result.cuts_.push_back(std::move(cuts));
-    (void)selected_index;
+    genes.push_back(g);
+    gene_cuts.push_back(std::move(cuts));
   }
-  return result;
+  return Discretization::FromCuts(std::move(genes), std::move(gene_cuts));
 }
 
 }  // namespace topkrgs

@@ -28,7 +28,7 @@ struct ItemInfo {
 class Discretization {
  public:
   /// Builds a discretization directly from per-gene cut points (used by
-  /// model deserialization and by tests). `genes` must be strictly
+  /// Fit, model deserialization and tests). `genes` must be strictly
   /// ascending original gene ids; `cuts[i]` are the sorted cut points of
   /// genes[i] and must be non-empty.
   static Discretization FromCuts(std::vector<GeneId> genes,
@@ -67,8 +67,6 @@ class Discretization {
   std::string ItemName(const ContinuousDataset& data, ItemId id) const;
 
  private:
-  friend class EntropyDiscretizer;
-
   std::vector<GeneId> selected_genes_;
   std::vector<std::vector<double>> cuts_;       // parallel to selected_genes_
   std::vector<ItemId> gene_first_item_;         // parallel to selected_genes_

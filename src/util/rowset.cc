@@ -251,33 +251,6 @@ void RowSet::IntersectAdaptiveInto(const Bitset& other, RowSet* out) const {
   out->bits_.AssignIntersectionOf(bits_, other);
 }
 
-RowSet RowSet::IntersectOf(const Bitset& a, const Bitset& b) {
-  RowSet out;
-  IntersectOfInto(a, b, &out);
-  return out;
-}
-
-void RowSet::IntersectOfInto(const Bitset& a, const Bitset& b, RowSet* out) {
-  TOPKRGS_CHECK(a.size() == b.size(), "bitset universe mismatch");
-  out->universe_ = a.size();
-  const size_t count = a.IntersectCount(b);
-  if (PreferSparse(count, a.size())) {
-    out->repr_ = Repr::kSparse;
-    out->ids_.clear();
-    out->ids_.reserve(count);  // NOLINT(hotpath: retained capacity)
-    a.ForEach([&](size_t r) {
-      // NOLINT(hotpath: within the reservation above; amortized zero)
-      // NOLINT(cast: ForEach yields bit positions < universe, a uint32)
-      if (b.Test(r)) out->ids_.push_back(static_cast<uint32_t>(r));
-    });
-    out->count_ = count;
-    return;
-  }
-  out->repr_ = Repr::kDense;
-  out->count_ = count;
-  out->bits_.AssignIntersectionOf(a, b);
-}
-
 std::vector<uint32_t> RowSet::ToVector() const {
   if (repr_ == Repr::kDense) return bits_.ToVector();
   return ids_;

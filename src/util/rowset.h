@@ -115,15 +115,6 @@ class RowSet {
   /// probe loops. out must not alias this.
   TKRGS_HOT void IntersectAdaptiveInto(const Bitset& other, RowSet* out) const;
 
-  /// a ∩ b as a density-adaptive rowset, without first copying either
-  /// input the way DenseFrom(Bitset(a)) + IntersectAdaptive would.
-  static RowSet IntersectOf(const Bitset& a, const Bitset& b);
-
-  /// IntersectOf into *out, reusing out's capacity (see
-  /// IntersectAdaptiveInto).
-  TKRGS_HOT static void IntersectOfInto(const Bitset& a, const Bitset& b,
-                                        RowSet* out);
-
   /// Invokes fn(index) for every element in ascending order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

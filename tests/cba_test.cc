@@ -184,6 +184,68 @@ TEST(TrainIrgTest, MinsupRoundsTheClassFraction) {
   }
 }
 
+/// A class-closure dataset: the four class-1 rows share exactly items
+/// {0, 1, 2}, and the three class-0 rows share exactly item 6. Each class
+/// has one top-1 rule group, its whole-class closure.
+DiscreteDataset ClassClosureDataset() {
+  return DiscreteDataset(7,
+                         {{0, 1, 2, 3},
+                          {0, 1, 2, 4},
+                          {0, 1, 2, 5},
+                          {0, 1, 2, 3, 4},
+                          {3, 4, 6},
+                          {3, 5, 6},
+                          {4, 5, 6}},
+                         {1, 1, 1, 1, 0, 0, 0});
+}
+
+TEST(CbaClassifierTest, FullCoverageDefaultsToTrainingMajority) {
+  // The two closure rules cover every training row, so no rows remain to
+  // take a majority of; the default must be the training majority
+  // (class 1, 4 rows against 3), not class 0 by label order.
+  DiscreteDataset d = ClassClosureDataset();
+  std::vector<Rule> rules;
+  rules.push_back(MakeRule(d, {0, 1, 2}, 1, 4, 4));
+  rules.push_back(MakeRule(d, {6}, 0, 3, 3));
+  const CbaClassifier all =
+      CbaClassifier::TrainFromRules(d, rules, /*apply_error_cut=*/false);
+  EXPECT_EQ(all.rules().size(), 2u);
+  EXPECT_EQ(all.default_class(), 1);
+  // With the error cut, the first rule plus the class-0 default already
+  // makes no training error, so the list stops there.
+  const CbaClassifier cut = CbaClassifier::TrainFromRules(d, rules);
+  EXPECT_EQ(cut.rules().size(), 1u);
+  EXPECT_EQ(cut.default_class(), 0);
+}
+
+TEST(TrainIrgTest, OneClosureRuleSendsPartialMatchesToTheDefault) {
+  // The mechanism behind IRG's low Table 2 accuracy. IRG keeps upper
+  // bound rules, and the error cut stops after the first one: the
+  // whole-class closure {0, 1, 2} -> 1, whose default (class 0) then
+  // makes no training error. A class-1 row that holds a lower bound of
+  // that group but not the whole upper bound falls through to the
+  // default, which is by construction the other class.
+  DiscreteDataset d = ClassClosureDataset();
+  const CbaClassifier irg = TrainIrg(d, IrgOptions());
+  ASSERT_EQ(irg.rules().size(), 1u);
+  EXPECT_EQ(irg.rules()[0].antecedent.ToVector(),
+            (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(irg.rules()[0].consequent, 1);
+  EXPECT_EQ(irg.default_class(), 0);
+
+  Bitset partial(d.num_items());  // a class-1 row lacking item 2
+  for (uint32_t item : {0u, 1u, 3u}) partial.Set(item);
+  bool used_default = false;
+  EXPECT_EQ(irg.Predict(partial, &used_default), 0);
+  EXPECT_TRUE(used_default);
+
+  // CBA keeps a lower bound of the same group, which the row does hold.
+  CbaOptions opt;
+  const CbaClassifier cba = TrainCba(d, opt);
+  EXPECT_EQ(cba.Predict(partial, &used_default), 1);
+  EXPECT_FALSE(used_default);
+}
+
 TEST(TrainCbaTest, RandomDataDoesNotCrashAndCoversTraining) {
   for (uint64_t seed = 0; seed < 5; ++seed) {
     DiscreteDataset d = RandomDataset(seed, 12, 10, 0.4);

@@ -102,9 +102,11 @@
 #           tkds convert, shard-count sweep) into a fresh record and hold
 #           it to tools/lint/rss_gate.py, run the sharded-vs-single-shot
 #           oracle tests with TOPKRGS_SLOW_TESTS=1 (the reduced-profile
-#           sweep that tier-1 skips), and round-trip a toy dataset through
-#           topkrgs-convert + topkrgs-shard-mine checking that the text
-#           and tkds paths report the same digest. Time-boxed via
+#           sweep that tier-1 skips) and the FindLB oracle's sweep over
+#           every RCBT call on the four paper profiles, and round-trip a
+#           toy dataset through topkrgs-convert + topkrgs-shard-mine
+#           checking that the text and tkds paths report the same
+#           digest. Time-boxed via
 #           SCALE_SECONDS (default 120, the bench point budget).
 #
 #   serve — build the asan preset, run the serving-layer tests under it,
@@ -330,7 +332,8 @@ run_scale() {
   cmake --preset release >/dev/null
   echo "== build (release: bench_scale, scale tools, oracle tests) =="
   cmake --build --preset release -j --target bench_scale \
-    topkrgs_convert_tool topkrgs_shard_mine_tool shard_merge_test
+    topkrgs_convert_tool topkrgs_shard_mine_tool shard_merge_test \
+    find_lb_oracle_test
 
   local tmp
   tmp="$(mktemp -d)"
@@ -346,6 +349,10 @@ run_scale() {
   echo "== sharded-vs-single-shot oracle (incl. reduced-profile sweep) =="
   TOPKRGS_SLOW_TESTS=1 ctest --test-dir build-release \
     -R "ShardMerge" --output-on-failure
+
+  echo "== FindLB vs its breadth-first oracle on every paper-profile call =="
+  TOPKRGS_SLOW_TESTS=1 ctest --test-dir build-release \
+    -R "FindLbOracle" --output-on-failure
 
   echo "== convert / shard-mine round trip (text vs tkds digest) =="
   printf '1\t0 1 2\n1\t0 1 2\n1\t0 1\n1\t0 2\n1\t1 2\n0\t3 4\n0\t3\n0\t4\n' \
