@@ -164,18 +164,54 @@ void BM_VectorProjectionChild(benchmark::State& state) {
 }
 BENCHMARK(BM_VectorProjectionChild)->Arg(32)->Arg(128)->Arg(210);
 
-void BM_EntropyDiscretizerFit(benchmark::State& state) {
+/// Tiny(6) with `genes` genes and `rows` training rows in Tiny's 12:10
+/// class ratio (Tiny's own 22 rows at rows = 22).
+GeneratedData FitData(uint32_t genes, uint32_t rows) {
   DatasetProfile profile = DatasetProfile::Tiny(6);
-  profile.num_genes = static_cast<uint32_t>(state.range(0));
+  profile.num_genes = genes;
   profile.strong_genes = profile.num_genes / 16;
   profile.weak_genes = profile.num_genes / 4;
-  GeneratedData data = GenerateMicroarray(profile);
+  profile.train_class0 = rows * 10 / 22;
+  profile.train_class1 = rows - profile.train_class0;
+  return GenerateMicroarray(profile);
+}
+
+// Args: genes, training rows. The 210- and 600-row points sit on both
+// sides of the entropy-term table's 256-row bound, so a slowdown of the
+// directly computed terms shows.
+void BM_EntropyDiscretizerFit(benchmark::State& state) {
+  GeneratedData data = FitData(static_cast<uint32_t>(state.range(0)),
+                               static_cast<uint32_t>(state.range(1)));
   EntropyDiscretizer disc;
   for (auto _ : state) {
     benchmark::DoNotOptimize(disc.Fit(data.train));
   }
 }
-BENCHMARK(BM_EntropyDiscretizerFit)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_EntropyDiscretizerFit)
+    ->Args({256, 22})
+    ->Args({1024, 22})
+    ->Args({4096, 22})
+    ->Args({4096, 210})
+    ->Args({4096, 600});
+
+// One gene score (sort + boundary scan) per iteration at OC's 210 rows.
+void BM_BestSplitInfoGain(benchmark::State& state) {
+  GeneratedData data = FitData(1024, static_cast<uint32_t>(state.range(0)));
+  const ContinuousDataset& train = data.train;
+  std::vector<std::vector<double>> columns;
+  for (GeneId g = 0; g < train.num_genes(); ++g) {
+    columns.push_back(train.GeneColumn(g));
+  }
+  std::vector<uint8_t> labels(train.num_rows());
+  for (RowId r = 0; r < train.num_rows(); ++r) labels[r] = train.label(r);
+  size_t g = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BestSplitInfoGain(columns[g], labels, train.num_classes()));
+    g = (g + 1) % columns.size();
+  }
+}
+BENCHMARK(BM_BestSplitInfoGain)->Arg(210);
 
 void BM_CloseItemset(benchmark::State& state) {
   DiscreteDataset data = MakeMiningData(128, 1024, 7);

@@ -93,8 +93,8 @@ StatusOr<ContinuousDataset> ContinuousDataset::ParseTsv(
                                      std::string(fields[0]));
     }
     for (uint32_t g = 0; g < num_genes; ++g) {
-      // Non-finite expression values would poison the value sort inside
-      // the entropy discretizer (NaN breaks strict weak ordering).
+      // Non-finite expression values would poison the entropy
+      // discretizer (NaN != NaN breaks its equal-value boundary test).
       auto v = ParseFiniteDouble(fields[g + 1]);
       if (!v.ok()) return v.status();
       row[g] = v.value();

@@ -56,8 +56,8 @@ class ContinuousDataset {
   /// Parses the format produced by WriteTsv from in-memory lines — the
   /// ingestion boundary for untrusted matrices. Validates per-row field
   /// counts, labels representable as ClassLabel, finite expression values
-  /// (a NaN would void the sort order the discretizer relies on), and at
-  /// least one data row.
+  /// (a NaN would void the discretizer's equal-value boundary test and
+  /// DiscretizeRow's binary search), and at least one data row.
   static StatusOr<ContinuousDataset> ParseTsv(
       const std::vector<std::string>& lines);
   /// ParseTsv over a file's contents.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 
 #include "core/stats.h"
 #include "util/status.h"
@@ -158,10 +157,10 @@ class GeneSplitter {
       //   gain > log2(n-1)/n + delta/n
       //   delta = log2(3^k - 2) - (k*Ent(S) - k1*Ent(S1) - k2*Ent(S2))
       const double k = ClassesPresent(total);
-      const double k1 = ClassesPresent(split_.sides[0]);
-      const double k2 = ClassesPresent(split_.sides[1]);
-      const double ent1 = Entropy(split_.sides[0]);
-      const double ent2 = Entropy(split_.sides[1]);
+      const double k1 = ClassesPresent(split_.left);
+      const double k2 = ClassesPresent(split_.right);
+      const double ent1 = Entropy(split_.left);
+      const double ent2 = Entropy(split_.right);
       const double delta = std::log2(std::pow(3.0, k) - 2.0) -
                            (k * ent_s - k1 * ent1 - k2 * ent2);
       const double threshold =
@@ -195,9 +194,11 @@ Discretization EntropyDiscretizer::Fit(const ContinuousDataset& train) const {
 
   const uint32_t n = train.num_rows();
   // Per-gene buffers, reused for every gene: the row-major matrix is read
-  // once per gene into `column`, and the sort compares in that copy.
+  // once per gene into `column`, which is sorted with the row labels.
   std::vector<double> column(n);
-  std::vector<uint32_t> order(n);
+  std::vector<uint8_t> row_labels(n);
+  for (uint32_t r = 0; r < n; ++r) row_labels[r] = train.label(r);
+  SortScratch scratch;
   std::vector<double> sorted_values(n);
   std::vector<uint8_t> sorted_labels(n);
   GeneSplitter splitter(sorted_values, sorted_labels, train.num_classes(),
@@ -205,14 +206,8 @@ Discretization EntropyDiscretizer::Fit(const ContinuousDataset& train) const {
 
   for (GeneId g = 0; g < train.num_genes(); ++g) {
     for (uint32_t r = 0; r < n; ++r) column[r] = train.value(r, g);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return column[a] < column[b];
-    });
-    for (uint32_t i = 0; i < n; ++i) {
-      sorted_values[i] = column[order[i]];
-      sorted_labels[i] = train.label(order[i]);
-    }
+    SortByValue(column.data(), row_labels.data(), n, &scratch,
+                sorted_values.data(), sorted_labels.data());
     std::vector<double> cuts;
     splitter.Run(&cuts);
     if (cuts.empty()) continue;  // gene dropped: no MDL-accepted cut
