@@ -163,7 +163,6 @@ class JsonRecord {
     Int("groups_emitted", static_cast<long long>(stats.groups_emitted));
     Int("pruned_bounds", static_cast<long long>(stats.pruned_bounds));
     Int("pruned_backward", static_cast<long long>(stats.pruned_backward));
-    Int("tasks_executed", static_cast<long long>(stats.tasks_executed));
     Int("tasks_spawned", static_cast<long long>(stats.tasks_spawned));
     Int("tasks_stolen", static_cast<long long>(stats.tasks_stolen));
     Int("cut_rows_scanned", static_cast<long long>(stats.cut_rows_scanned));

@@ -1,4 +1,4 @@
-// Production-workflow walkthrough: mine with the parallel MineTopkRGS,
+// Production-workflow walkthrough: mine with MineTopkRGS,
 // render a biologist-facing rule report, cross-validate RCBT, and persist
 // the model for later use — the pieces a downstream user combines on their
 // own data.
@@ -15,11 +15,10 @@ int main() {
   GeneratedData data = GenerateMicroarray(DatasetProfile::Tiny(2025));
   Pipeline pipeline = PreparePipeline(data.train, data.test);
 
-  // 1. Mine on all cores. The result is identical to a one-thread run.
+  // 1. Mine the top-3 covering rule groups of every class-1 row.
   TopkMinerOptions mopt;
   mopt.k = 3;
   mopt.min_support = MinSupportFromFrac(0.7, pipeline.train.ClassCounts()[1]);
-  mopt.threads = 0;  // hardware default
   TopkResult mined = MineTopkRGS(pipeline.train, 1, mopt);
 
   // 2. Rule report: significance, lift, chi-square and coverage per group.

@@ -145,8 +145,8 @@ Status RunMineCommand(const std::vector<std::string>& args) {
   const FlagParser& flags = flags_or.value();
   TOPKRGS_RETURN_NOT_OK(flags.CheckKnown({"data", "algorithm", "consequent",
                                           "minsup", "minsup-frac", "k",
-                                          "minconf", "budget", "max-print",
-                                          "threads", "warmup-nodes"}));
+                                          "minconf", "budget",
+                                          "max-print"}));
 
   auto data_path = flags.GetRequired("data");
   if (!data_path.ok()) return data_path.status();
@@ -178,17 +178,6 @@ Status RunMineCommand(const std::vector<std::string>& args) {
   if (!budget.ok()) return budget.status();
   auto max_print = flags.GetInt("max-print", 10);
   if (!max_print.ok()) return max_print.status();
-  auto threads = flags.GetInt("threads", 1);
-  if (!threads.ok()) return threads.status();
-  if (threads.value() < 0) {
-    return Status::InvalidArgument("--threads must be >= 0 (0 = all cores)");
-  }
-  auto warmup_nodes = flags.GetInt("warmup-nodes", -1);
-  if (!warmup_nodes.ok()) return warmup_nodes.status();
-  if (warmup_nodes.value() < -1) {
-    return Status::InvalidArgument(
-        "--warmup-nodes must be >= -1 (-1 = auto, 0 = off)");
-  }
 
   std::printf("dataset: %u rows, %u items (%u genes selected); class %d has "
               "%u rows; minsup %u\n",
@@ -206,10 +195,6 @@ Status RunMineCommand(const std::vector<std::string>& args) {
     opt.k = k32.value();
     opt.min_support = minsup.value();
     opt.deadline = Deadline(budget.value());
-    auto threads32 = FlagU32(threads.value(), 0, "--threads");
-    if (!threads32.ok()) return threads32.status();
-    opt.threads = threads32.value();
-    opt.warmup_nodes = warmup_nodes.value();
     const TopkResult result = MineTopkRGS(data, cls, opt);
     stats = result.stats;
     to_print = result.DistinctGroups();
@@ -559,7 +544,7 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
   const FlagParser& flags = flags_or.value();
   TOPKRGS_RETURN_NOT_OK(flags.CheckKnown(
       {"data", "consequent", "minsup", "minsup-frac", "k", "memory-budget",
-       "shards", "threads", "budget", "max-print"}));
+       "shards", "budget", "max-print"}));
 
   auto data_path = flags.GetRequired("data");
   if (!data_path.ok()) return data_path.status();
@@ -612,11 +597,6 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
   if (shards.value() < 0) {
     return Status::InvalidArgument("--shards must be >= 0 (0 = auto)");
   }
-  auto threads = flags.GetInt("threads", 1);
-  if (!threads.ok()) return threads.status();
-  if (threads.value() < 0) {
-    return Status::InvalidArgument("--threads must be >= 0 (0 = all cores)");
-  }
   auto budget = flags.GetDouble("budget", 30.0);
   if (!budget.ok()) return budget.status();
   auto max_print = flags.GetInt("max-print", 10);
@@ -639,9 +619,6 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
   if (!shards32.ok()) return shards32.status();
   plan_opt.shard_count = shards32.value();
   ShardMineOptions mine_opt;
-  auto threads32 = FlagU32(threads.value(), 0, "--threads");
-  if (!threads32.ok()) return threads32.status();
-  mine_opt.threads = threads32.value();
   mine_opt.deadline = Deadline(budget.value());
 
   ShardPlan plan;

@@ -30,19 +30,16 @@ struct MinerStats {
   uint64_t groups_emitted = 0;
   uint64_t pruned_backward = 0;
   uint64_t pruned_bounds = 0;
-  // Work-stealing scheduler counters (zero for serial miners): subtree
-  // tasks run, shed mid-task by dynamic splits, and claimed from another
-  // worker's deque. tasks_executed can exceed the first-level task count
-  // when splitting is active.
-  uint64_t tasks_executed = 0;
+  // Always 0: no miner runs tasks. Read by nothing but the end-to-end
+  // benchmark, which still reports them.
   uint64_t tasks_spawned = 0;
   uint64_t tasks_stolen = 0;
   // MineTopkRGS Step 10 frequency scans, and how many of them counted
   // from item postings rather than per candidate (CountFreqFromPostings).
   uint64_t freq_scans = 0;
   uint64_t postings_scans = 0;
-  // MineTopkRGS admission checks: positive rows whose published k-th
-  // entry a check read before it admitted or pruned (TopkSearch::Admits).
+  // MineTopkRGS admission checks: positive rows whose k-th entry a check
+  // read before it admitted or pruned (TopkSearch::Admits).
   uint64_t cut_rows_scanned = 0;
   double seconds = 0.0;
   bool timed_out = false;
@@ -54,7 +51,6 @@ struct MinerStats {
     groups_emitted += other.groups_emitted;
     pruned_backward += other.pruned_backward;
     pruned_bounds += other.pruned_bounds;
-    tasks_executed += other.tasks_executed;
     tasks_spawned += other.tasks_spawned;
     tasks_stolen += other.tasks_stolen;
     freq_scans += other.freq_scans;

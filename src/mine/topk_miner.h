@@ -54,45 +54,17 @@ struct TopkMinerOptions {
   /// stats.timed_out (results are then incomplete).
   Deadline deadline;
 
-  /// Worker threads. MineTopkRGS turns the first level of the
-  /// row-enumeration tree into subtree tasks drained through work-stealing
-  /// deques (owner-LIFO / thief-FIFO, with dynamic splitting once a worker
-  /// starves), all sharing the per-row top-k pruning thresholds, which
-  /// every admission check reads lock-free. 0 = one thread per hardware
-  /// core (clamped to at least 1 — see ResolveThreadCount). Results are
-  /// bit-for-bit deterministic regardless of the thread count (search
-  /// statistics such as nodes_visited depend on pruning timing and are
-  /// not).
+  /// Read by nothing: MineTopkRGS is one serial search. The field stays
+  /// only because the end-to-end benchmark still assigns it.
   uint32_t threads = 1;
 
-  /// Serial warm-up budget for the parallel miner: before any worker
-  /// thread starts, the calling thread drains first-level subtree tasks in
-  /// canonical order until it has visited this many enumeration nodes.
-  /// Workers that start against a cold top-k heap explore subtrees that
-  /// mature thresholds would prune, so without a warm-up the parallel
-  /// search can visit several times the serial node count (the
-  /// redundant-work ratio gated in bench/BENCH_topk.json). The heap needs
-  /// at least k insertions per row list before its thresholds mean
-  /// anything, so the auto budget scales with k; minings smaller than the
-  /// budget simply finish serially, which is also the right call for
-  /// wall-clock (a millisecond-scale search never amortizes thread
-  /// startup). -1 = auto (64 * k nodes), 0 = no warm-up (every task is up
-  /// for grabs immediately — tests use this to force heavy stealing),
-  /// > 0 = explicit node budget. Has no effect at 1 worker.
-  int64_t warmup_nodes = -1;
-
-  /// The warm-up budget after resolving the -1 = auto convention.
-  uint64_t ResolveWarmupNodes() const {
-    if (warmup_nodes >= 0) return static_cast<uint64_t>(warmup_nodes);
-    return 64ull * k;
-  }
-
   /// Shard scope (src/scale/, DESIGN.md §14): the miner enumerates only
-  /// rows at ORD positions >= begin_pos and fans out only the first-level
-  /// subtrees rooted below position first_level_end. Rows before begin_pos
-  /// stay in the dataset, so the Step 7 backward check sees them exactly as
-  /// a single-shot search does — a node one of them contains belongs to an
-  /// earlier shard. The defaults (0, UINT32_MAX) are stand-alone mining.
+  /// rows at ORD positions >= begin_pos and descends only into the
+  /// first-level subtrees rooted below position first_level_end. Rows
+  /// before begin_pos stay in the dataset, so the Step 7 backward check
+  /// sees them exactly as a single-shot search does — a node one of them
+  /// contains belongs to an earlier shard. The defaults (0, UINT32_MAX)
+  /// are stand-alone mining.
   /// Positions index the default ORD; Validate() rejects a scope under any
   /// other row order.
   uint32_t begin_pos = 0;
@@ -103,17 +75,6 @@ struct TopkMinerOptions {
   /// default kClassDominantWeighted.
   Status Validate() const;
 };
-
-/// Resolves a requested thread count to the number of workers to launch:
-/// 0 means "one per hardware core" using `hardware_hint` (the caller
-/// passes std::thread::hardware_concurrency()), clamped to >= 1 because
-/// the standard allows hardware_concurrency() to return 0 when the core
-/// count is unknowable. Any explicit request is returned untouched.
-inline uint32_t ResolveThreadCount(uint32_t requested,
-                                   uint32_t hardware_hint) {
-  if (requested != 0) return requested;
-  return hardware_hint >= 1 ? hardware_hint : 1;
-}
 
 /// Step 10 of MineTopkRGS needs freq(p) = |I(X) ∩ items(p)| for every
 /// candidate row p of a node, and counts it whichever way costs fewer

@@ -42,7 +42,6 @@ ShardResult MineShard(const DiscreteDataset& data, const ShardPlan& plan,
   TopkMinerOptions mine_options;
   mine_options.k = plan.k;
   mine_options.min_support = plan.initial_min_support;
-  mine_options.threads = options.threads;
   mine_options.deadline = options.deadline;
   mine_options.begin_pos = range.begin_pos;
   mine_options.first_level_end = range.first_level_end;

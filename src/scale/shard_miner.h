@@ -17,11 +17,14 @@ namespace topkrgs {
 /// deliberately not exposed — sharding's bit-identity contract is proven
 /// for the default configuration.
 struct ShardMineOptions {
-  /// Worker threads INSIDE each shard (the PR 7 work-stealing pool);
-  /// shards themselves run sequentially over one shared dataset.
+  /// Read by nothing: each shard is one serial search, and shards run one
+  /// after another over one shared dataset. The field stays only because
+  /// the end-to-end benchmark still assigns it.
   uint32_t threads = 1;
-  /// Per-shard wall-clock budget; an expiry marks stats.timed_out and the
-  /// merged output is then incomplete (never silently wrong).
+  /// Wall-clock budget of the whole sharded mine: one absolute deadline
+  /// that every shard checks, not a budget per shard. An expiry marks
+  /// stats.timed_out and the merged output is then incomplete (never
+  /// silently wrong).
   Deadline deadline;
 };
 

@@ -10,6 +10,7 @@
 #include "core/dataset.h"
 #include "mine/miner_common.h"
 #include "mine/topk_miner.h"
+#include "scale/shard_miner.h"
 #include "scale/shard_planner.h"
 #include "scale/stream_reader.h"
 #include "scale/topk_merge.h"
@@ -413,6 +414,87 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, HybridOracleTest,
     ::testing::Combine(::testing::Range(0, 10), ::testing::Values(1u, 3u),
                        ::testing::Values(1u, 2u, 3u)));
+
+/// A planned view for the two MineShard entry points below: random rows
+/// over a small universe, cut into several shards.
+struct PlannedView {
+  StreamedTable table;
+  ShardPlan plan;
+};
+
+PlannedView PlanRandomView(uint64_t seed, uint32_t shard_count) {
+  PlannedView out;
+  out.table = TableFromDataset(testing_util::RandomDataset(seed, 18, 14, 0.4));
+  ShardPlanOptions plan_opt;
+  plan_opt.k = 2;
+  plan_opt.min_support = 2;
+  plan_opt.shard_count = shard_count;
+  auto plan_or = PlanShards(out.table.View(), 1, plan_opt);
+  EXPECT_TRUE(plan_or.ok()) << plan_or.status().ToString();
+  out.plan = std::move(plan_or).value();
+  return out;
+}
+
+TEST(ShardMergeTest, SuffixDatasetIsThePlanOrderSuffix) {
+  const PlannedView planned = PlanRandomView(4, 4);
+  const TransposedView view = planned.table.View();
+  const ShardPlan& plan = planned.plan;
+  ASSERT_GE(plan.shards.size(), 2u);
+  const DiscreteDataset full = MaterializeDataset(view);
+  for (uint32_t s = 0; s < plan.shards.size(); ++s) {
+    const uint32_t begin = plan.shards[s].begin_pos;
+    const DiscreteDataset suffix = BuildSuffixDataset(view, plan, s);
+    const std::string context = "shard " + std::to_string(s);
+    ASSERT_EQ(suffix.num_rows(), view.num_rows - begin) << context;
+    EXPECT_EQ(suffix.num_items(), full.num_items()) << context;
+    for (RowId l = 0; l < suffix.num_rows(); ++l) {
+      const RowId row = plan.order[begin + l];
+      EXPECT_EQ(suffix.row_bitset(l), full.row_bitset(row))
+          << context << " suffix row " << l;
+      EXPECT_EQ(suffix.label(l), full.label(row))
+          << context << " suffix row " << l;
+    }
+  }
+}
+
+TEST(ShardMergeTest, MineShardFromViewMatchesMaterializedDataset) {
+  const PlannedView planned = PlanRandomView(6, 3);
+  const TransposedView view = planned.table.View();
+  const ShardPlan& plan = planned.plan;
+  ASSERT_GE(plan.shards.size(), 2u);
+  const DiscreteDataset full = MaterializeDataset(view);
+  const ShardMineOptions options;
+  size_t groups = 0;
+  for (uint32_t s = 0; s < plan.shards.size(); ++s) {
+    const ShardResult a = MineShard(view, plan, s, options);
+    const ShardResult b = MineShard(full, plan, s, options);
+    const std::string context = "shard " + std::to_string(s);
+    EXPECT_EQ(a.shard_index, s) << context;
+    EXPECT_EQ(b.shard_index, s) << context;
+    ASSERT_EQ(a.per_pos.size(), b.per_pos.size()) << context;
+    for (size_t i = 0; i < a.per_pos.size(); ++i) {
+      ASSERT_EQ(a.per_pos[i].size(), b.per_pos[i].size())
+          << context << " pos " << i;
+      for (size_t j = 0; j < a.per_pos[i].size(); ++j) {
+        const RuleGroup& ga = *a.per_pos[i][j];
+        const RuleGroup& gb = *b.per_pos[i][j];
+        EXPECT_EQ(ga.antecedent, gb.antecedent) << context << " pos " << i;
+        EXPECT_EQ(ga.support, gb.support) << context << " pos " << i;
+        EXPECT_EQ(ga.antecedent_support, gb.antecedent_support)
+            << context << " pos " << i;
+        EXPECT_EQ(ga.row_support, gb.row_support) << context << " pos " << i;
+      }
+      groups += a.per_pos[i].size();
+    }
+    EXPECT_EQ(a.stats.nodes_visited, b.stats.nodes_visited) << context;
+    EXPECT_EQ(a.stats.pruned_bounds, b.stats.pruned_bounds) << context;
+    EXPECT_EQ(a.stats.pruned_backward, b.stats.pruned_backward) << context;
+    EXPECT_EQ(a.stats.groups_emitted, b.stats.groups_emitted) << context;
+    EXPECT_EQ(a.stats.cut_rows_scanned, b.stats.cut_rows_scanned) << context;
+    EXPECT_FALSE(a.stats.timed_out) << context;
+  }
+  EXPECT_GT(groups, 0u);
+}
 
 /// Reduced profile end-to-end — minutes-scale work, so tier-1 skips it;
 /// set TOPKRGS_SLOW_TESTS=1 (the ci.sh scale stage does) to run.

@@ -4,6 +4,7 @@
 
 #include "mine/miner_common.h"
 #include "mine/naive_miner.h"
+#include "scale/topk_merge.h"
 #include "test_util.h"
 
 namespace topkrgs {
@@ -179,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TopkMinerTest, WideSparseMatchesOracleOnBothCountPaths) {
   // Every other oracle sweep stays at <= 64 items, where I(X) is never a
   // sparse RowSet; this one is wide enough that Step 10 takes both sides
-  // of CountFreqFromPostings, at one worker and under stealing.
+  // of CountFreqFromPostings, at threads = 1 and 4.
   uint64_t scans = 0;
   uint64_t postings = 0;
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -193,7 +194,6 @@ TEST(TopkMinerTest, WideSparseMatchesOracleOnBothCountPaths) {
             opt.k = k;
             opt.min_support = minsup;
             opt.threads = threads;
-            opt.warmup_nodes = 0;
             const TopkResult result = MineTopkRGS(d, cls, opt);
             scans += result.stats.freq_scans;
             postings += result.stats.postings_scans;
@@ -422,6 +422,50 @@ TEST(TopkMinerTest, LargerKFindsSupersetOfSmallerK) {
 /// begin_pos and first_level_end are positions in the default ORD, which
 /// the shard planner reproduces; any other row order would give them a
 /// different meaning, so Validate rejects the combination.
+TEST(TopkMinerTest, SearchCountersArePinned) {
+  // The search itself, not just its output: the lists' digest and every
+  // search counter, pinned to recorded values. Pruning order, the
+  // admission check's cut cache and the dynamic minsup all move these
+  // even where the lists come out the same. The narrow dataset counts
+  // Step 10 per candidate; the wide one partly from item postings.
+  struct Expected {
+    const char* name;
+    DiscreteDataset data;
+    uint64_t digest;
+    uint64_t nodes_visited;
+    uint64_t pruned_bounds;
+    uint64_t pruned_backward;
+    uint64_t groups_emitted;
+    uint64_t freq_scans;
+    uint64_t postings_scans;
+    uint64_t cut_rows_scanned;
+  };
+  const Expected expected[] = {
+      {"narrow", RandomDataset(11, 28, 40, 0.35), 0x532e82fbf7e96e90ull, 187,
+       1219, 345, 77, 159, 0, 2645},
+      {"wide", WideSparseDataset(11, 24, 640), 0xa9ac8450b803a8b3ull, 41, 129,
+       98, 27, 39, 17, 325},
+  };
+  for (const Expected& e : expected) {
+    TopkMinerOptions opt;
+    opt.k = 4;
+    opt.min_support = 2;
+    const TopkResult result = MineTopkRGS(e.data, 1, opt);
+    const MinerStats& stats = result.stats;
+    ASSERT_FALSE(stats.timed_out) << e.name;
+    EXPECT_EQ(TopkDigest(result.per_row, result.effective_min_support),
+              e.digest)
+        << e.name;
+    EXPECT_EQ(stats.nodes_visited, e.nodes_visited) << e.name;
+    EXPECT_EQ(stats.pruned_bounds, e.pruned_bounds) << e.name;
+    EXPECT_EQ(stats.pruned_backward, e.pruned_backward) << e.name;
+    EXPECT_EQ(stats.groups_emitted, e.groups_emitted) << e.name;
+    EXPECT_EQ(stats.freq_scans, e.freq_scans) << e.name;
+    EXPECT_EQ(stats.postings_scans, e.postings_scans) << e.name;
+    EXPECT_EQ(stats.cut_rows_scanned, e.cut_rows_scanned) << e.name;
+  }
+}
+
 TEST(TopkMinerOptionsTest, ShardScopeRequiresTheDefaultRowOrder) {
   TopkMinerOptions options;
   options.begin_pos = 3;

@@ -24,8 +24,7 @@ using testing_util::SignificanceSeq;
 /// Deep equality of two mining results: every per-row list must match
 /// group-for-group (antecedent, supports, row support, order), along with
 /// the derived threshold and the distinct-group ordering. This is the
-/// "bit-for-bit deterministic for any thread count" contract of
-/// TopkMinerOptions::threads.
+/// contract that TopkMinerOptions::threads never changes a result.
 void ExpectIdenticalResults(const TopkResult& a, const TopkResult& b,
                             const std::string& context) {
   EXPECT_EQ(a.effective_min_support, b.effective_min_support) << context;
@@ -99,7 +98,6 @@ TEST(TopkParallelTest, DeterministicAcrossBackends) {
     TopkMinerOptions opt;
     opt.k = 4;
     opt.min_support = 2;
-    opt.warmup_nodes = 0;
     CheckThreadInvariance(
         *data, 1, opt, std::to_string(data->num_items()) + " items");
   }
@@ -120,8 +118,8 @@ TEST(TopkParallelTest, DeterministicOverRandomDatasets) {
 }
 
 TEST(TopkParallelTest, DeterministicWithoutTopkPruningAblation) {
-  // The strict-inequality pruning argument is moot when top-k pruning is
-  // off; determinism must then come purely from the replay merge.
+  // Each ablation switch makes the search visit other nodes; every thread
+  // count must still reproduce the serial lists.
   const DiscreteDataset data = RandomDataset(3, 22, 30, 0.4);
   TopkMinerOptions opt;
   opt.k = 3;
@@ -140,7 +138,7 @@ TEST(TopkParallelTest, DeterministicWithoutTopkPruningAblation) {
 }
 
 TEST(TopkParallelTest, ParallelResultMatchesOracle) {
-  // The exhaustive oracle pins the parallel miner to the paper's
+  // The exhaustive oracle pins the miner at threads = 8 to the paper's
   // Definition 2.3 semantics, not merely to its own serial run.
   for (uint64_t seed : {2u, 5u}) {
     const DiscreteDataset data = RandomDataset(seed, 16, 18, 0.45);
@@ -161,10 +159,8 @@ TEST(TopkParallelTest, ParallelResultMatchesOracle) {
 
 /// A dataset whose positive rows each appear three times, so every group
 /// covers whole triples and significance ties are everywhere: between the
-/// copies, and between the k-th entries of distinct rows, which different
-/// tasks publish with different tie origins — the per-row origin rule the
-/// admission check must keep (a cut folded over rows tied at the minimum
-/// keeps the latest origin among them).
+/// copies, and between the k-th entries of distinct rows. A candidate that
+/// ties a k-th entry must lose there, as it does in TopkLists::Insert.
 DiscreteDataset TripledPositives(uint64_t seed, uint32_t distinct_positives,
                                  uint32_t negatives, ItemId num_items) {
   Rng rng(seed);
@@ -199,8 +195,7 @@ TEST(TopkParallelTest, TieHeavyDatasetMatchesOracle) {
       TopkMinerOptions opt;
       opt.k = k;
       opt.min_support = 2;
-      opt.warmup_nodes = 0;
-      opt.threads = 1;
+        opt.threads = 1;
       const TopkResult serial = MineTopkRGS(data, 1, opt);
       for (uint32_t threads : {1u, 4u, 8u}) {
         const std::string context = "seed " + std::to_string(seed) + " k " +
@@ -218,17 +213,15 @@ TEST(TopkParallelTest, TieHeavyDatasetMatchesOracle) {
       }
     }
   }
-  // Past the oracle's row limit the searches run long enough for workers
-  // to publish ties out of canonical order; a cut that kept the earliest
-  // tied origin instead of the latest breaks thread invariance here.
+  // Past the oracle's row limit: longer searches whose folded cuts tie at
+  // many rows.
   for (uint64_t seed : {10u, 15u, 16u}) {
     const DiscreteDataset data = TripledPositives(seed, 10, 10, 30);
     for (uint32_t k : {3u, 5u}) {
       TopkMinerOptions opt;
       opt.k = k;
       opt.min_support = 1;
-      opt.warmup_nodes = 0;
-      CheckThreadInvariance(data, 1, opt,
+        CheckThreadInvariance(data, 1, opt,
                             "tripled seed " + std::to_string(seed) + " k " +
                                 std::to_string(k));
     }
@@ -266,63 +259,22 @@ TEST(TopkParallelTest, AdmissionCheckReadsFewRowsOnReducedProfile) {
       << positives << " positive rows";
 }
 
-TEST(TopkParallelTest, ResolveThreadCountClampsAutoToAtLeastOne) {
-  // threads = 0 means "one per hardware core", but the standard allows
-  // hardware_concurrency() to report 0 when the core count is unknowable;
-  // the resolved worker count must still be >= 1.
-  EXPECT_EQ(ResolveThreadCount(0, 0), 1u);
-  EXPECT_EQ(ResolveThreadCount(0, 1), 1u);
-  EXPECT_EQ(ResolveThreadCount(0, 8), 8u);
-  // Explicit requests pass through untouched, even on the 0-core report.
-  EXPECT_EQ(ResolveThreadCount(3, 0), 3u);
-  EXPECT_EQ(ResolveThreadCount(1, 16), 1u);
-}
-
 TEST(TopkParallelTest, DeterministicUnderHeavyStealing) {
-  // A wide, deep search at 8 workers: the first-level task queue drains
-  // quickly relative to the subtree sizes, so workers starve and running
-  // tasks shed their unvisited children mid-DFS (dynamic splits), which a
-  // starving worker then steals — the spawn-marker replay and the striped
-  // split-task origin ranges must still reproduce the serial result
-  // bit for bit. k above the per-row group count keeps top-k thresholds
-  // loose, maximizing surviving subtrees (= split opportunities);
-  // warmup_nodes = 0 throws every first-level task open immediately so
-  // stealing actually happens.
+  // A wide, deep search at threads = 8 must reproduce the threads = 1
+  // result bit for bit. k above the per-row group count keeps the top-k
+  // thresholds loose, so many subtrees survive and the search is large.
   for (uint64_t seed : {21u, 42u}) {
     const DiscreteDataset data = RandomDataset(seed, 40, 44, 0.45);
     TopkMinerOptions opt;
     opt.k = 6;
     opt.min_support = 1;
     opt.threads = 1;
-    opt.warmup_nodes = 0;
     const TopkResult reference = MineTopkRGS(data, 1, opt);
     TopkMinerOptions par = opt;
     par.threads = 8;
     const TopkResult stolen = MineTopkRGS(data, 1, par);
     ExpectIdenticalResults(reference, stolen,
                            "heavy-steal seed " + std::to_string(seed));
-  }
-}
-
-TEST(TopkParallelTest, WarmupBudgetDoesNotChangeResults) {
-  // The serial warm-up only reorders which thread visits which subtree;
-  // any budget — off, tiny (pool starts almost cold), huge (the whole
-  // search runs inside the warm-up) or auto — must yield bit-identical
-  // results.
-  const DiscreteDataset data = RandomDataset(7, 36, 40, 0.45);
-  TopkMinerOptions serial;
-  serial.k = 5;
-  serial.min_support = 1;
-  serial.threads = 1;
-  const TopkResult reference = MineTopkRGS(data, 1, serial);
-  for (int64_t budget : {int64_t{0}, int64_t{8}, int64_t{1 << 20},
-                         int64_t{-1}}) {
-    TopkMinerOptions par = serial;
-    par.threads = 4;
-    par.warmup_nodes = budget;
-    const TopkResult got = MineTopkRGS(data, 1, par);
-    ExpectIdenticalResults(reference, got,
-                           "warmup budget " + std::to_string(budget));
   }
 }
 

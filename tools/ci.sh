@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # CI gate with two stages:
 #
-#   tsan  — build the ThreadSanitizer preset and run the parallel-miner
-#           determinism tests, the sharded-merge oracle (8-thread shards
-#           over one shared dataset) and the
-#           classifier/serving thread-safety tests under it. The parallel
-#           MineTopkRGS promises bit-for-bit identical results for any
-#           thread count, and the serving stack promises lock-free
+#   tsan  — build the ThreadSanitizer preset and run the miner's
+#           thread-setting tests, the sharded-merge oracle and the
+#           classifier/serving thread-safety tests under it. MineTopkRGS
+#           is serial and must give the same lists whatever `threads` is
+#           set to, and the serving stack promises lock-free
 #           shared-classifier Predict; this stage is the race detector
-#           backing both — run it before merging anything touching
-#           src/mine/, src/scale/, src/serve/ or src/util/arena.h.
+#           backing the serving side — run it before merging anything
+#           touching src/mine/, src/scale/, src/serve/ or src/util/arena.h.
 #
 #   fuzz  — build the fuzz preset (ASan+UBSan, plus libFuzzer when the
 #           compiler is clang) and replay the committed seed + regression
@@ -284,9 +283,10 @@ run_tsan() {
   cmake --preset tsan
   echo "== build (tsan) =="
   cmake --build --preset tsan -j
-  echo "== determinism tests under ThreadSanitizer (-R ${pattern}) =="
+  echo "== miner and thread-safety tests under ThreadSanitizer (-R ${pattern}) =="
   ctest --test-dir build-tsan -R "${pattern}" --output-on-failure
-  echo "tsan gate passed: no data races, results thread-count invariant."
+  echo "tsan gate passed: no data races, miner results unchanged by the" \
+       "threads setting."
 }
 
 run_fuzz() {
@@ -448,7 +448,7 @@ case "${STAGE}" in
   coverage) run_coverage ;;
   ubsan) run_ubsan ;;
   intsan) run_intsan ;;
-  tsan) run_tsan "${2:-TopkParallel|ThreadSafety|WorkStealDeque|ShardMerge}" ;;
+  tsan) run_tsan "${2:-TopkParallel|ThreadSafety|ShardMerge}" ;;
   fuzz) run_fuzz ;;
   simd) run_simd ;;
   scale) run_scale ;;
@@ -457,7 +457,7 @@ case "${STAGE}" in
     run_lint
     run_astlint
     run_analyze
-    run_tsan "${2:-TopkParallel|ThreadSafety|WorkStealDeque|ShardMerge}"
+    run_tsan "${2:-TopkParallel|ThreadSafety|ShardMerge}"
     run_ubsan
     run_intsan
     run_fuzz
