@@ -163,8 +163,8 @@ class JsonRecord {
     Int("groups_emitted", static_cast<long long>(stats.groups_emitted));
     Int("pruned_bounds", static_cast<long long>(stats.pruned_bounds));
     Int("pruned_backward", static_cast<long long>(stats.pruned_backward));
-    Int("tasks_spawned", static_cast<long long>(stats.tasks_spawned));
-    Int("tasks_stolen", static_cast<long long>(stats.tasks_stolen));
+    Int("freq_scans", static_cast<long long>(stats.freq_scans));
+    Int("postings_scans", static_cast<long long>(stats.postings_scans));
     Int("cut_rows_scanned", static_cast<long long>(stats.cut_rows_scanned));
     Bool("timed_out", stats.timed_out);
     return *this;

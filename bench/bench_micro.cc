@@ -158,7 +158,7 @@ void BM_VectorProjectionChild(benchmark::State& state) {
   VectorProjection proj(&data, &order, all);
   uint32_t pos = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proj.Child(pos, {}));
+    benchmark::DoNotOptimize(proj.Child(pos));
     pos = (pos + 1) % (rows / 2);
   }
 }

@@ -46,18 +46,26 @@ StatusOr<uint32_t> FlagU32(int64_t value, int64_t floor, const char* what) {
   return CheckedCast<uint32_t>(std::max(floor, value), what);
 }
 
+/// --minsup-frac (default 0.7), a fraction of the consequent class in
+/// (0, 1]; every command that takes the flag reads it here.
+StatusOr<double> GetMinsupFrac(const FlagParser& flags) {
+  auto frac = flags.GetDouble("minsup-frac", 0.7);
+  if (!frac.ok()) return frac.status();
+  if (frac.value() <= 0.0 || frac.value() > 1.0) {
+    return Status::InvalidArgument("--minsup-frac must be in (0, 1]");
+  }
+  return frac;
+}
+
 /// Resolves --minsup / --minsup-frac against the consequent class size.
 StatusOr<uint32_t> ResolveMinsup(const FlagParser& flags,
                                  uint32_t class_rows) {
   auto minsup = flags.GetInt("minsup", 0);
   if (!minsup.ok()) return minsup.status();
-  auto frac = flags.GetDouble("minsup-frac", 0.7);
+  auto frac = GetMinsupFrac(flags);
   if (!frac.ok()) return frac.status();
   if (minsup.value() > 0) {
     return CheckedCast<uint32_t>(minsup.value(), "--minsup");
-  }
-  if (frac.value() <= 0.0 || frac.value() > 1.0) {
-    return Status::InvalidArgument("--minsup-frac must be in (0, 1]");
   }
   return MinSupportFromFrac(frac.value(), class_rows);
 }
@@ -348,7 +356,7 @@ Status RunClassifyCommand(const std::vector<std::string>& args) {
   }
 
   Pipeline pipeline = PreparePipeline(train_or.value(), test_raw);
-  auto frac = flags.GetDouble("minsup-frac", 0.7);
+  auto frac = GetMinsupFrac(flags);
   if (!frac.ok()) return frac.status();
   auto k = flags.GetInt("k", 10);
   if (!k.ok()) return k.status();
@@ -423,7 +431,7 @@ Status RunCvCommand(const std::vector<std::string>& args) {
   }
   auto seed = flags.GetInt("seed", 1);
   if (!seed.ok()) return seed.status();
-  auto frac = flags.GetDouble("minsup-frac", 0.7);
+  auto frac = GetMinsupFrac(flags);
   if (!frac.ok()) return frac.status();
   auto k = flags.GetInt("k", 10);
   if (!k.ok()) return k.status();

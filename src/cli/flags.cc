@@ -67,9 +67,10 @@ StatusOr<double> FlagParser::GetDouble(const std::string& key,
                                        double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  auto v = ParseDouble(it->second);
+  auto v = ParseFiniteDouble(it->second);
   if (!v.ok()) {
-    return Status::InvalidArgument("--" + key + " expects a number, got '" +
+    return Status::InvalidArgument("--" + key +
+                                   " expects a finite number, got '" +
                                    it->second + "'");
   }
   return v.value();

@@ -30,7 +30,8 @@ class FlagParser {
   /// Integer flag with a default; InvalidArgument on malformed values.
   [[nodiscard]] StatusOr<int64_t> GetInt(const std::string& key, int64_t fallback) const;
 
-  /// Double flag with a default; InvalidArgument on malformed values.
+  /// Double flag with a default; InvalidArgument on malformed or
+  /// non-finite values (nan, inf).
   [[nodiscard]] StatusOr<double> GetDouble(const std::string& key, double fallback) const;
 
   /// Returns an error naming any flag not in `known` (typo detection).

@@ -225,6 +225,38 @@ Status DiscreteDataset::WriteItemData(const std::string& path) const {
   return WriteLines(path, lines);
 }
 
+Status ParseItemLine(std::string_view line, uint32_t num_items,
+                     std::vector<ItemId>* items, ClassLabel* label) {
+  const auto parts = SplitString(line, '\t');
+  if (parts.size() != 2) {
+    return Status::InvalidArgument("expected 'label<TAB>items': " +
+                                   std::string(line));
+  }
+  auto label_or = ParseUint(parts[0]);
+  if (!label_or.ok()) return label_or.status();
+  if (label_or.value() >= kMaxClasses) {
+    return Status::InvalidArgument("class label out of range: " +
+                                   std::string(parts[0]));
+  }
+  items->clear();
+  const uint64_t bound = num_items != 0 ? num_items : kMaxItemUniverse;
+  for (std::string_view field : SplitString(parts[1], ' ')) {
+    if (field.empty()) continue;
+    auto item = ParseUint(field);
+    if (!item.ok()) return item.status();
+    if (item.value() >= bound) {
+      return Status::InvalidArgument(
+          num_items != 0 ? "item id exceeds the declared universe"
+                         : "item id exceeds the supported universe");
+    }
+    // NOLINT(cast: item.value() < bound <= kMaxItemUniverse, checked above)
+    items->push_back(static_cast<ItemId>(item.value()));
+  }
+  // NOLINT(cast: label < kMaxClasses == 256, checked above)
+  *label = static_cast<ClassLabel>(label_or.value());
+  return Status::OK();
+}
+
 StatusOr<DiscreteDataset> DiscreteDataset::ParseItemData(
     const std::vector<std::string>& lines, uint32_t num_items) {
   if (num_items > kMaxItemUniverse) {
@@ -235,38 +267,13 @@ StatusOr<DiscreteDataset> DiscreteDataset::ParseItemData(
   uint32_t max_item = 0;
   for (const std::string& line : lines) {
     if (line.empty()) continue;
-    const auto parts = SplitString(line, '\t');
-    if (parts.size() != 2) {
-      return Status::InvalidArgument("expected 'label<TAB>items': " + line);
-    }
-    auto label = ParseUint(parts[0]);
-    if (!label.ok()) return label.status();
-    if (label.value() >= kMaxClasses) {
-      return Status::InvalidArgument("class label out of range: " +
-                                     std::string(parts[0]));
-    }
     std::vector<ItemId> items;
-    for (std::string_view field : SplitString(parts[1], ' ')) {
-      if (field.empty()) continue;
-      auto item = ParseUint(field);
-      if (!item.ok()) return item.status();
-      // Bound the universe before the id is ever used: the per-item row
-      // index allocates one bitset per universe slot, so admitting a huge
-      // id here means allocating gigabytes for a one-line file.
-      const uint64_t bound = num_items != 0 ? num_items : kMaxItemUniverse;
-      if (item.value() >= bound) {
-        return Status::InvalidArgument(
-            num_items != 0 ? "item id exceeds the declared universe"
-                           : "item id exceeds the supported universe");
-      }
-      // NOLINT(cast: < bound <= kMaxItemUniverse rejected above)
-      const ItemId id = static_cast<ItemId>(item.value());
-      max_item = std::max(max_item, id);
-      items.push_back(id);
-    }
+    ClassLabel label = 0;
+    Status parse = ParseItemLine(line, num_items, &items, &label);
+    if (!parse.ok()) return parse;
+    for (ItemId id : items) max_item = std::max(max_item, id);
     rows.push_back(std::move(items));
-    // NOLINT(cast: < kMaxClasses = 256 rejected above, fits ClassLabel)
-    labels.push_back(static_cast<ClassLabel>(label.value()));
+    labels.push_back(label);
   }
   if (rows.empty()) return Status::InvalidArgument("empty item dataset");
   const uint32_t universe = num_items != 0 ? num_items : max_item + 1;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/types.h"
@@ -128,7 +129,8 @@ class DiscreteDataset {
   /// Writes the dataset in transactional form, the usual exchange format of
   /// itemset-mining datasets: one row per line, "label<TAB>item item ...".
   [[nodiscard]] Status WriteItemData(const std::string& path) const;
-  /// Parses the format produced by WriteItemData from in-memory lines.
+  /// Parses the format produced by WriteItemData from in-memory lines
+  /// (ParseItemLine per non-empty line).
   /// `num_items` fixes the item universe; 0 infers it as max item id + 1.
   /// Validates labels representable as ClassLabel and bounds the (declared
   /// or inferred) universe by kMaxItemUniverse so a single hostile item id
@@ -154,6 +156,16 @@ class DiscreteDataset {
 /// to ids 0..15, class C=1 for r1..r3 and ¬C=0 for r4,r5). Used by unit
 /// tests and the quickstart example.
 DiscreteDataset MakeRunningExampleDataset();
+
+/// Parses one item-data line, "label<TAB>item item ...", into `items`
+/// (cleared first) and `label`. Item ids must lie below `num_items`, or
+/// below kMaxItemUniverse when `num_items` is 0 (an inferred universe),
+/// so that a single hostile id cannot force a multi-gigabyte index.
+/// DiscreteDataset::ParseItemData and the streamed reader both parse with
+/// it, so they accept the same files with the same messages.
+[[nodiscard]] Status ParseItemLine(std::string_view line, uint32_t num_items,
+                                   std::vector<ItemId>* items,
+                                   ClassLabel* label);
 
 /// Item ids for the running example's named items ('a' -> 0, ..., 'p' -> 15).
 ItemId RunningExampleItem(char name);

@@ -79,7 +79,7 @@ void CarpenterSearch::Visit(const Proj& proj, const Bitset& items,
   std::vector<uint32_t> live_freq;
   std::vector<uint32_t> absorbed;
   for (uint32_t p : cand) {
-    const uint32_t f = proj.Freq(p, items);
+    const uint32_t f = proj.Freq(p);
     if (f == items_count) {
       absorbed.push_back(p);
     } else if (f > 0) {
@@ -115,7 +115,7 @@ void CarpenterSearch::Visit(const Proj& proj, const Bitset& items,
     }
     in_x_[p] = true;
     x_stack_.push_back(p);
-    Visit(proj.Child(p, live), child_items, live_freq[i], child_closed);
+    Visit(proj.Child(p), child_items, live_freq[i], child_closed);
     x_stack_.pop_back();
     in_x_[p] = false;
   }

@@ -114,7 +114,7 @@ void FarmerSearch::Visit(const Proj& proj, const Bitset& items,
   std::vector<uint32_t> absorbed;
   uint32_t mp = 0;
   for (uint32_t p : cand) {
-    const uint32_t f = proj.Freq(p, items);
+    const uint32_t f = proj.Freq(p);
     if (f == items_count) {
       absorbed.push_back(p);
     } else if (f > 0) {
@@ -171,7 +171,7 @@ void FarmerSearch::Visit(const Proj& proj, const Bitset& items,
       in_x_[p] = true;
       x_stack_.push_back(p);
       p < np_ ? ++xp_ : ++xn_;
-      Visit(proj.Child(p, live), child_items, live_freq[i], p, child_closed);
+      Visit(proj.Child(p), child_items, live_freq[i], p, child_closed);
       p < np_ ? --xp_ : --xn_;
       x_stack_.pop_back();
       in_x_[p] = false;
@@ -199,11 +199,6 @@ MiningResult FarmerSearch::Run() {
     switch (opt_.backend) {
       case FarmerOptions::Backend::kPrefixTree: {
         TreeProjection root(PrefixTree::BuildRoot(data_, order_, frequent));
-        Visit(root, frequent, items_count, 0, /*closed_on_left=*/true);
-        break;
-      }
-      case FarmerOptions::Backend::kBitset: {
-        BitsetProjection root(&data_, &order_);
         Visit(root, frequent, items_count, 0, /*closed_on_left=*/true);
         break;
       }

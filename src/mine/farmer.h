@@ -29,9 +29,6 @@ struct FarmerOptions {
     kVector,
     /// "FARMER+prefix" of Figure 6: the same search over prefix trees.
     kPrefixTree,
-    /// Packed-bitset projections (a modern reimplementation; not in the
-    /// paper, exposed for the ablation benchmarks).
-    kBitset,
   };
   Backend backend = Backend::kVector;
   bool use_backward_pruning = true;

@@ -19,58 +19,9 @@ namespace topkrgs {
 ///    (ascending). Cheap for all backends.
 ///  * Freq(pos): freq(pos) = number of transposed tuples of this projection
 ///    containing pos = |I(X) ∩ items(row)|. This is the "scan TT|_X" cost of
-///    Step 10: the bitset backend pays an intersection-popcount per call,
-///    the prefix-tree backend reads a header counter (its cost was paid once
-///    when the conditional tree was built).
+///    Step 10; both backends read a counter filled in when the projection
+///    was built.
 ///  * Child(pos): the {X ∪ {pos}}-projected table.
-
-/// Bitset-backed projection: candidates kept as an explicit position list;
-/// frequencies computed against I(X) on demand. This mirrors the original
-/// FARMER implementation (no prefix tree).
-class BitsetProjection {
- public:
-  BitsetProjection(const DiscreteDataset* data, const std::vector<RowId>* order)
-      : data_(data), order_(order) {
-    positions_.resize(order->size());
-    for (uint32_t i = 0; i < positions_.size(); ++i) positions_[i] = i;
-  }
-
-  void Positions(std::vector<uint32_t>* out) const { *out = positions_; }
-
-  /// ItemSet is Bitset or util/rowset.h's RowSet: anything exposing
-  /// IntersectCount(const Bitset&). A sparse RowSet turns this scan from
-  /// O(universe/64) words into O(|I(X)|) probes.
-  template <typename ItemSet>
-  TKRGS_HOT uint32_t Freq(uint32_t pos, const ItemSet& items) const {
-    // Hot path — called once per (node, position) during enumeration.
-    // NOLINT(cast: IntersectCount <= num_items <= kMaxItemUniverse = 2^20)
-    return static_cast<uint32_t>(
-        items.IntersectCount(data_->row_bitset((*order_)[pos])));
-  }
-
-  /// Child keeps the candidates strictly after `pos` that had nonzero
-  /// frequency at the parent (zero-frequency rows share no item with I(X)
-  /// and thus with any descendant antecedent either).
-  BitsetProjection Child(uint32_t pos,
-                         const std::vector<uint32_t>& live_positions) const {
-    BitsetProjection child(data_, order_, Unpopulated{});
-    child.positions_.reserve(live_positions.size());
-    for (uint32_t p : live_positions) {
-      if (p > pos) child.positions_.push_back(p);
-    }
-    return child;
-  }
-
- private:
-  struct Unpopulated {};
-  BitsetProjection(const DiscreteDataset* data, const std::vector<RowId>* order,
-                   Unpopulated)
-      : data_(data), order_(order) {}
-
-  const DiscreteDataset* data_;
-  const std::vector<RowId>* order_;
-  std::vector<uint32_t> positions_;
-};
 
 /// Explicit projected transposed tables: every tuple is a materialized
 /// vector of the row positions after X. This mirrors the original FARMER
@@ -107,13 +58,9 @@ class VectorProjection {
     }
   }
 
-  template <typename ItemSet>
-  TKRGS_HOT uint32_t Freq(uint32_t pos, const ItemSet& /*items*/) const {
-    return freq_[pos];
-  }
+  TKRGS_HOT uint32_t Freq(uint32_t pos) const { return freq_[pos]; }
 
-  VectorProjection Child(uint32_t pos,
-                         const std::vector<uint32_t>& /*live_positions*/) const {
+  VectorProjection Child(uint32_t pos) const {
     VectorProjection child(num_positions_);
     for (const auto& tuple : tuples_) {
       if (!std::binary_search(tuple.begin(), tuple.end(), pos)) continue;
@@ -155,13 +102,9 @@ class TreeProjection {
         [out](uint32_t pos, uint32_t) { out->push_back(pos); });
   }
 
-  template <typename ItemSet>
-  TKRGS_HOT uint32_t Freq(uint32_t pos, const ItemSet& /*items*/) const {
-    return tree_.freq(pos);
-  }
+  TKRGS_HOT uint32_t Freq(uint32_t pos) const { return tree_.freq(pos); }
 
-  TreeProjection Child(uint32_t pos,
-                       const std::vector<uint32_t>& /*live_positions*/) const {
+  TreeProjection Child(uint32_t pos) const {
     return TreeProjection(tree_.Conditional(pos));
   }
 

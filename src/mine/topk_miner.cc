@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "mine/topk_lists.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/hot_path.h"
 #include "util/rowset.h"
@@ -41,24 +40,43 @@ class TopkSearch {
   TKRGS_HOT void Visit(std::span<const uint32_t> cand, const RowSet& items,
                        uint32_t items_count, bool closed_on_left);
 
-  /// Step 10's scan of TT'|_X: (*freq)[i] = |I(X) ∩ items(cand[i])|,
+  /// The scratch of the node at one enumeration depth, reused by every
+  /// node at that depth so that the search stops allocating once each
+  /// depth has been reached once.
+  struct Frame {
+    std::vector<uint32_t> absorbed;    // candidates holding all of I(X)
+    std::vector<uint32_t> live;        // candidates holding part of I(X)
+    std::vector<uint32_t> live_freq;   // |I(X) ∩ items(live[i])|
+    std::vector<uint32_t> suffix_pos;  // positive live rows at i and after
+    RowSet child_items;                // I(X ∪ {p}) of the child descended
+  };
+
+  /// The frame of depth_, appended on the first visit to that depth (the
+  /// depth grows one step at a time). A deque keeps the shallower frames
+  /// where they are while deeper ones append.
+  Frame& CurrentFrame() {
+    if (frames_.size() == depth_) {
+      // NOLINT(hotpath: one-time growth per depth first reached; every
+      // later node at this depth reuses the frame allocation-free)
+      frames_.emplace_back();
+    }
+    return frames_[depth_];
+  }
+
+  /// Step 10's scan of TT'|_X: cand_freq_[i] = |I(X) ∩ items(cand[i])|,
   /// counted per candidate or from item postings, whichever
   /// CountFreqFromPostings says costs less at this node.
-  TKRGS_HOT void CountFreq(std::span<const uint32_t> cand, const RowSet& items,
-                           std::vector<uint32_t>* freq);
+  TKRGS_HOT void CountFreq(std::span<const uint32_t> cand, const RowSet& items);
 
-  /// The rest of Step 10, shared by Visit and MineRoot: candidates holding
-  /// all of I(X) are absorbed into X (pushed onto the DFS stack — they
-  /// appear in every descendant), candidates holding part of it stay live
-  /// with their counts, and suffix_pos[i] counts the positive live rows at
-  /// i and after (so suffix_pos[0] is mp, the rows that can still raise a
-  /// descendant's support).
+  /// The rest of Step 10, shared by Visit and MineRoot, into `frame`:
+  /// candidates holding all of I(X) are absorbed into X (pushed onto the
+  /// DFS stack — they appear in every descendant), candidates holding part
+  /// of it stay live with their counts, and suffix_pos[i] counts the
+  /// positive live rows at i and after (so suffix_pos[0] is mp, the rows
+  /// that can still raise a descendant's support).
   TKRGS_HOT void ScanAndAbsorb(std::span<const uint32_t> cand,
                                const RowSet& items, uint32_t items_count,
-                               std::vector<uint32_t>* absorbed,
-                               std::vector<uint32_t>* live,
-                               std::vector<uint32_t>* live_freq,
-                               std::vector<uint32_t>* suffix_pos);
+                               Frame* frame);
 
   /// Step 7's question for child X ∪ {p}, whose item set is `items`
   /// (`items_count` items): does a row at a position before p and outside
@@ -71,9 +89,9 @@ class TopkSearch {
 
   /// Steps 7 and 14 for child X ∪ {live[i]} of the current node X: the
   /// backward check, then the descent. `items` is I(X); it must not be
-  /// rowset_scratch_[depth_], the slot the child's item set goes to.
-  TKRGS_HOT void Descend(const RowSet& items, std::span<const uint32_t> live,
-                         uint32_t child_count, size_t i);
+  /// the child_items of `frame` (the current node's frame), where the
+  /// child's item set goes.
+  TKRGS_HOT void Descend(const RowSet& items, Frame* frame, size_t i);
 
   /// The per-child loose bound: support below child X ∪ {p} is capped by
   /// X, the branch row p, and the `positives_after` positive candidates
@@ -149,16 +167,12 @@ class TopkSearch {
   uint32_t depth_ = 0;
 
   // Scratch the search reuses so that it stops allocating once warm.
-  VectorPool<uint32_t> scratch_;
+  std::deque<Frame> frames_;  // indexed by depth_
+  // CountFreq's counts; ScanAndAbsorb reads them before any descent.
+  std::vector<uint32_t> cand_freq_;
   // Per-row postings counter of CountFreq, indexed by original row id;
   // all zero between scans (each scan resets what it set).
   std::vector<uint32_t> row_count_;
-  // One RowSet per enumeration depth, reused across every sibling at
-  // that depth: IntersectAdaptiveInto refills the slot's id array or
-  // bitmap in place, so the per-node intersection stops allocating once
-  // each depth has been visited once. A deque keeps references stable
-  // while deeper slots append.
-  std::deque<RowSet> rowset_scratch_;
 
   bool timed_out_ = false;
   MinerStats stats_;
@@ -316,16 +330,10 @@ void TopkSearch::Visit(std::span<const uint32_t> cand, const RowSet& items,
 
   // Step 10: scan TT'|_X — frequencies, then absorb rows occurring in every
   // tuple (they appear in all descendants).
-  PooledVector<uint32_t> absorbed_lease(&scratch_);
-  PooledVector<uint32_t> live_lease(&scratch_);
-  PooledVector<uint32_t> freq_lease(&scratch_);
-  PooledVector<uint32_t> suffix_lease(&scratch_);
-  std::vector<uint32_t>& absorbed = *absorbed_lease;
-  std::vector<uint32_t>& live = *live_lease;
-  std::vector<uint32_t>& live_freq = *freq_lease;
-  std::vector<uint32_t>& suffix_pos = *suffix_lease;
-  ScanAndAbsorb(cand, items, items_count, &absorbed, &live, &live_freq,
-                &suffix_pos);
+  Frame& frame = CurrentFrame();
+  ScanAndAbsorb(cand, items, items_count, &frame);
+  const std::vector<uint32_t>& live = frame.live;
+  const std::vector<uint32_t>& suffix_pos = frame.suffix_pos;
 
   // Step 11: tight bounds (suffix_pos[0] = mp, the candidate consequent
   // rows that can still appear in a descendant antecedent support set).
@@ -349,11 +357,11 @@ void TopkSearch::Visit(std::span<const uint32_t> cand, const RowSet& items,
         ++stats_.pruned_bounds;
         continue;
       }
-      Descend(items, live, live_freq[i], i);
+      Descend(items, &frame, i);
     }
   }
 
-  for (auto it = absorbed.rbegin(); it != absorbed.rend(); ++it) {
+  for (auto it = frame.absorbed.rbegin(); it != frame.absorbed.rend(); ++it) {
     const uint32_t p = *it;
     IsPos(p) ? --xp_ : --xn_;
     x_stack_.pop_back();
@@ -361,11 +369,11 @@ void TopkSearch::Visit(std::span<const uint32_t> cand, const RowSet& items,
   }
 }
 
-void TopkSearch::CountFreq(std::span<const uint32_t> cand, const RowSet& items,
-                           std::vector<uint32_t>* freq) {
+void TopkSearch::CountFreq(std::span<const uint32_t> cand,
+                           const RowSet& items) {
   ++stats_.freq_scans;
-  // NOLINT(hotpath: pooled lease retains capacity across nodes)
-  freq->resize(cand.size());
+  // NOLINT(hotpath: a member buffer; it keeps its capacity across nodes)
+  cand_freq_.resize(cand.size());
   const uint64_t n = items.Count();
   const bool sparse = items.is_sparse();
   bool postings =
@@ -379,7 +387,7 @@ void TopkSearch::CountFreq(std::span<const uint32_t> cand, const RowSet& items,
   if (!postings) {
     for (size_t c = 0; c < cand.size(); ++c) {
       // NOLINT(cast: IntersectCount <= num_items <= kMaxItemUniverse = 2^20)
-      (*freq)[c] = static_cast<uint32_t>(
+      cand_freq_[c] = static_cast<uint32_t>(
           items.IntersectCount(data_.row_bitset(order_[cand[c]])));
     }
     return;
@@ -399,7 +407,7 @@ void TopkSearch::CountFreq(std::span<const uint32_t> cand, const RowSet& items,
     rows_of(item).ForEach([count](size_t row) { ++count[row]; });
   });
   for (size_t c = 0; c < cand.size(); ++c) {
-    (*freq)[c] = count[order_[cand[c]]];
+    cand_freq_[c] = count[order_[cand[c]]];
   }
   items.ForEach([&](size_t item) {
     rows_of(item).ForEach([count](size_t row) { count[row] = 0; });
@@ -408,26 +416,24 @@ void TopkSearch::CountFreq(std::span<const uint32_t> cand, const RowSet& items,
 
 void TopkSearch::ScanAndAbsorb(std::span<const uint32_t> cand,
                                const RowSet& items, uint32_t items_count,
-                               std::vector<uint32_t>* absorbed,
-                               std::vector<uint32_t>* live,
-                               std::vector<uint32_t>* live_freq,
-                               std::vector<uint32_t>* suffix_pos) {
-  PooledVector<uint32_t> cand_freq_lease(&scratch_);
-  std::vector<uint32_t>& cand_freq = *cand_freq_lease;
-  CountFreq(cand, items, &cand_freq);
+                               Frame* frame) {
+  CountFreq(cand, items);
+  frame->absorbed.clear();
+  frame->live.clear();
+  frame->live_freq.clear();
   for (size_t c = 0; c < cand.size(); ++c) {
     const uint32_t p = cand[c];
-    const uint32_t f = cand_freq[c];
+    const uint32_t f = cand_freq_[c];
     if (f == items_count) {
-      // NOLINT(hotpath: pooled lease retains capacity across nodes)
-      absorbed->push_back(p);
+      // NOLINT(hotpath: the depth's frame retains capacity across nodes)
+      frame->absorbed.push_back(p);
     } else if (f > 0) {
-      // NOLINT(hotpath: pooled lease retains capacity across nodes)
-      live->push_back(p);
-      live_freq->push_back(f);  // NOLINT(hotpath: pooled lease, as above)
+      // NOLINT(hotpath: the depth's frame retains capacity across nodes)
+      frame->live.push_back(p);
+      frame->live_freq.push_back(f);  // NOLINT(hotpath: frame, as above)
     }
   }
-  for (uint32_t p : *absorbed) {
+  for (uint32_t p : frame->absorbed) {
     in_x_[p] = 1;
     // NOLINT(hotpath: DFS stack retains capacity; amortized O(1))
     x_stack_.push_back(p);
@@ -435,10 +441,12 @@ void TopkSearch::ScanAndAbsorb(std::span<const uint32_t> cand,
   }
   // Positive candidates at positions after live[i] — the only rows that
   // can still raise a child subtree's support beyond X.
-  // NOLINT(hotpath: pooled lease retains capacity across nodes)
-  suffix_pos->assign(live->size() + 1, 0);
-  for (size_t i = live->size(); i-- > 0;) {
-    (*suffix_pos)[i] = (*suffix_pos)[i + 1] + (IsPos((*live)[i]) ? 1 : 0);
+  const std::vector<uint32_t>& live = frame->live;
+  std::vector<uint32_t>& suffix_pos = frame->suffix_pos;
+  // NOLINT(hotpath: the depth's frame retains capacity across nodes)
+  suffix_pos.assign(live.size() + 1, 0);
+  for (size_t i = live.size(); i-- > 0;) {
+    suffix_pos[i] = suffix_pos[i + 1] + (IsPos(live[i]) ? 1 : 0);
   }
 }
 
@@ -475,15 +483,12 @@ bool TopkSearch::HeldEarlier(const RowSet& items, uint32_t items_count,
   return false;
 }
 
-void TopkSearch::Descend(const RowSet& items, std::span<const uint32_t> live,
-                         uint32_t child_count, size_t i) {
+void TopkSearch::Descend(const RowSet& items, Frame* frame, size_t i) {
+  const std::span<const uint32_t> live = frame->live;
   const uint32_t p = live[i];
-  if (rowset_scratch_.size() <= depth_) {
-    // NOLINT(hotpath: one-time growth per depth first reached; every
-    // later node at this depth reuses the slot allocation-free)
-    rowset_scratch_.resize(depth_ + 1);
-  }
-  RowSet& child_items = rowset_scratch_[depth_];
+  const uint32_t child_count = frame->live_freq[i];
+  // IntersectAdaptiveInto refills the frame's id array or bitmap in place.
+  RowSet& child_items = frame->child_items;
   items.IntersectAdaptiveInto(data_.row_bitset(order_[p]), &child_items);
   // Step 7, run before the child is visited: a skipped earlier row
   // containing I(X ∪ {p}) means the child duplicates an earlier branch
@@ -532,12 +537,10 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
     ++stats_.pruned_bounds;
     return;
   }
-  std::vector<uint32_t> absorbed;
-  std::vector<uint32_t> live;
-  std::vector<uint32_t> live_freq;
-  std::vector<uint32_t> suffix_pos;
-  ScanAndAbsorb(cand, items, items_count, &absorbed, &live, &live_freq,
-                &suffix_pos);
+  Frame& frame = CurrentFrame();  // frame 0: MineRoot runs at depth 0
+  ScanAndAbsorb(cand, items, items_count, &frame);
+  const std::vector<uint32_t>& live = frame.live;
+  const std::vector<uint32_t>& suffix_pos = frame.suffix_pos;
   if (opt_.use_bound_pruning &&
       Hopeless(xp_ + suffix_pos[0], xn_, live, &cut)) {
     ++stats_.pruned_bounds;
@@ -567,9 +570,9 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
       ++stats_.pruned_bounds;
       continue;
     }
-    // `items` is the caller's root item set, never a per-depth scratch
-    // slot, so Descend's slot write cannot alias it.
-    Descend(items, live, live_freq[i], i);
+    // `items` is the caller's root item set, never a frame's
+    // child_items, so Descend's write cannot alias it.
+    Descend(items, &frame, i);
   }
 }
 
@@ -650,6 +653,7 @@ TopkResult TopkSearch::Run() {
     const RowSet root_items = RowSet::FromBitset(frequent);
     MineRoot(root_items, items_count);
   }
+  frames_.clear();  // free the search scratch before the result is built
 
   TopkResult result;
   Finalize(frequent, &result);

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/io.h"
+#include "core/dataset.h"
 #include "util/safe_math.h"
 
 namespace topkrgs {
@@ -83,42 +83,6 @@ class TransposedBuilder {
 };
 
 namespace {
-
-/// One "label<TAB>item item ..." line -> (items, label). Mirrors
-/// DiscreteDataset::ParseItemData's validation so the two ingest paths
-/// accept exactly the same files.
-Status ParseItemLine(std::string_view line, uint32_t declared_items,
-                     std::vector<ItemId>* items, ClassLabel* label) {
-  const auto parts = SplitString(line, '\t');
-  if (parts.size() != 2) {
-    return Status::InvalidArgument("expected 'label<TAB>items': " +
-                                   std::string(line));
-  }
-  auto label_or = ParseUint(parts[0]);
-  if (!label_or.ok()) return label_or.status();
-  if (label_or.value() >= kMaxClasses) {
-    return Status::InvalidArgument("class label out of range: " +
-                                   std::string(parts[0]));
-  }
-  items->clear();
-  for (std::string_view field : SplitString(parts[1], ' ')) {
-    if (field.empty()) continue;
-    auto item = ParseUint(field);
-    if (!item.ok()) return item.status();
-    const uint64_t bound =
-        declared_items != 0 ? declared_items : kMaxItemUniverse;
-    if (item.value() >= bound) {
-      return Status::InvalidArgument(
-          declared_items != 0 ? "item id exceeds the declared universe"
-                              : "item id exceeds the supported universe");
-    }
-    // NOLINT(cast: item.value() < bound <= kMaxItemUniverse, checked above)
-    items->push_back(static_cast<ItemId>(item.value()));
-  }
-  // NOLINT(cast: label < kMaxClasses == 256, checked above)
-  *label = static_cast<ClassLabel>(label_or.value());
-  return Status::OK();
-}
 
 struct LineSink {
   TransposedBuilder* builder;

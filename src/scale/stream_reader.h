@@ -83,11 +83,11 @@ class TKRGS_GSL_OWNER StreamedTable {
 /// lines, the WriteItemData/ParseItemData contract): the file is consumed
 /// in fixed-size buffers and each complete row is folded into per-item
 /// postings immediately, so peak memory is the transposed table plus one
-/// chunk — independent of how large the row-major text is. Validation
-/// matches ParseItemData: labels < kMaxClasses, item ids bounded by the
-/// declared universe (or kMaxItemUniverse when inferring), overflow-checked
-/// integer parses, non-empty dataset. Duplicate items within a row are
-/// collapsed, exactly as the dense index construction does.
+/// chunk — independent of how large the row-major text is. Each line goes
+/// through core/dataset.h's ParseItemLine, the parser of
+/// DiscreteDataset::ParseItemData, so both accept the same files with the
+/// same messages; an empty dataset is rejected too. Duplicate items within
+/// a row are collapsed, exactly as the dense index construction does.
 class StreamReader {
  public:
   struct Options {

@@ -9,8 +9,7 @@
 ///
 ///   * heap allocation (operator new, make_unique/make_shared, container
 ///     or string growth),
-///   * lock acquisition below rank lock_rank::kMinerWorkDeque and any
-///     blocking syscall or I/O,
+///   * lock acquisition of any kind, and any blocking syscall or I/O,
 ///   * implicit copies of the expensive set types (Bitset, RowSet,
 ///     PrefixTree, RuleGroup),
 ///   * throw and formatted-string Status/StatusOr construction,

@@ -13,9 +13,8 @@
 ///   A thread may only acquire a lock whose rank is STRICTLY GREATER than
 ///   the rank of every lock it already holds.
 ///
-/// Equal ranks are an inversion too: two locks of the same rank (e.g. two
-/// miner stripe locks) must never be held simultaneously, because nothing
-/// orders them against each other. Unranked locks (kUnranked) opt out of
+/// Equal ranks are an inversion too: two locks of the same rank must never
+/// be held simultaneously, because nothing orders them against each other. Unranked locks (kUnranked) opt out of
 /// the discipline entirely — they neither constrain nor are constrained —
 /// which is reserved for locks provably never nested with ranked ones.
 ///
@@ -47,22 +46,9 @@ inline constexpr int kHttpConnTracking = 100;
 /// the executor queue.
 inline constexpr int kModelRegistry = 200;
 
-/// PredictionExecutor::mu_ — request queue. Workers drain under it and
-/// then execute lock-free; execution may run a miner, so the queue orders
-/// before the miner stripes.
+/// PredictionExecutor::mu_ — request queue. Innermost: workers drain
+/// under it and then execute lock-free.
 inline constexpr int kExecutorQueue = 300;
-
-/// WorkStealDeque::mu_ — the miner's per-worker subtree-task deques. A
-/// worker may publish a freshly split task (deque push) and then insert a
-/// rule group into a top-k stripe on the same logical path, so the deque
-/// orders before the stripes; the deque's own critical sections are pure
-/// pointer queue operations and never acquire anything.
-inline constexpr int kMinerWorkDeque = 350;
-
-/// SharedTopk::stripes_ — the miner's per-row top-k stripe locks. Leaf
-/// rank: nothing is ever acquired under a stripe, and (same-rank rule)
-/// no two stripes are ever held together.
-inline constexpr int kMinerTopkStripe = 400;
 
 #if TOPKRGS_DCHECK_IS_ON()
 #define TOPKRGS_LOCK_RANK_IS_ON() 1

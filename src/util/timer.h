@@ -31,12 +31,20 @@ class Deadline {
  public:
   /// Unlimited deadline.
   Deadline() : enabled_(false) {}
-  /// Expires `seconds` from now.
-  explicit Deadline(double seconds)
-      : enabled_(seconds > 0),
-        expiry_(Clock::now() +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(seconds > 0 ? seconds : 0))) {}
+  /// Expires `seconds` from now. A budget that is not positive, not
+  /// finite (NaN included) or past half the clock's remaining range
+  /// (over a century) is unlimited: converting it to clock ticks would
+  /// overflow.
+  explicit Deadline(double seconds) : enabled_(false) {
+    const Clock::time_point now = Clock::now();
+    const double range =
+        std::chrono::duration<double>(Clock::time_point::max() - now).count();
+    if (seconds > 0 && seconds < range / 2) {
+      enabled_ = true;
+      expiry_ = now + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(seconds));
+    }
+  }
 
   static Deadline Unlimited() { return Deadline(); }
 

@@ -40,9 +40,8 @@ TEST_P(FarmerOracleTest, MatchesOracle) {
   DiscreteDataset d = RandomDataset(static_cast<uint64_t>(seed), 10, 12, 0.4);
   for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
     const auto oracle = OracleWithMinConf(d, cls, minsup, minconf);
-    for (auto backend :
-         {FarmerOptions::Backend::kVector, FarmerOptions::Backend::kPrefixTree,
-          FarmerOptions::Backend::kBitset}) {
+    for (auto backend : {FarmerOptions::Backend::kVector,
+                         FarmerOptions::Backend::kPrefixTree}) {
       FarmerOptions opt;
       opt.min_support = minsup;
       opt.min_confidence = minconf;

@@ -45,6 +45,11 @@ TEST(FlagParserTest, TypedAccessors) {
   EXPECT_DOUBLE_EQ(flags.value().GetDouble("f", 0).value(), 0.5);
   EXPECT_FALSE(flags.value().GetInt("s", 0).ok());
   EXPECT_FALSE(flags.value().GetDouble("s", 0).ok());
+  for (const char* non_finite : {"nan", "inf", "-inf", "NaN", "infinity"}) {
+    auto parsed = FlagParser::Parse({"--f", non_finite});
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_FALSE(parsed.value().GetDouble("f", 0).ok()) << non_finite;
+  }
   EXPECT_TRUE(flags.value().GetRequired("s").ok());
   EXPECT_FALSE(flags.value().GetRequired("missing").ok());
 }
@@ -103,6 +108,26 @@ TEST_F(CliCommandsTest, MineValidatesArguments) {
       RunMineCommand({"--data", train_, "--consequent", "9"}).ok());
   EXPECT_FALSE(
       RunMineCommand({"--data", train_, "--minsup-frac", "1.5"}).ok());
+}
+
+// Every command that takes --minsup-frac rejects a value outside (0, 1],
+// NaN and infinity included, instead of mining at some other minsup.
+TEST_F(CliCommandsTest, EveryCommandRejectsBadMinsupFrac) {
+  auto names_the_flag = [](const Status& status) {
+    return !status.ok() &&
+           status.message().find("--minsup-frac") != std::string::npos;
+  };
+  for (const char* frac : {"nan", "inf", "0", "1.5"}) {
+    EXPECT_TRUE(names_the_flag(
+        RunMineCommand({"--data", train_, "--minsup-frac", frac})))
+        << frac;
+    EXPECT_TRUE(names_the_flag(RunClassifyCommand(
+        {"--train", train_, "--test", test_, "--minsup-frac", frac})))
+        << frac;
+    EXPECT_TRUE(names_the_flag(RunCvCommand(
+        {"--data", train_, "--folds", "3", "--minsup-frac", frac})))
+        << frac;
+  }
 }
 
 TEST_F(CliCommandsTest, ClassifyTrainEvaluateSaveLoad) {
@@ -248,8 +273,24 @@ TEST_F(ScaleCliTest, ShardMineValidatesArguments) {
       RunShardMineCommand({"--data", items_, "--threads", "-1"}).ok());
   EXPECT_FALSE(
       RunShardMineCommand({"--data", items_, "--memory-budget", "-1"}).ok());
-  EXPECT_FALSE(
-      RunShardMineCommand({"--data", items_, "--minsup-frac", "1.5"}).ok());
+  for (const char* frac : {"nan", "inf", "0", "1.5"}) {
+    const Status status =
+        RunShardMineCommand({"--data", items_, "--minsup-frac", frac});
+    EXPECT_FALSE(status.ok()) << frac;
+    EXPECT_NE(status.message().find("--minsup-frac"), std::string::npos)
+        << frac << ": " << status.ToString();
+  }
+}
+
+TEST_F(ScaleCliTest, ShardMineHugeBudgetDoesNotTimeOut) {
+  // A budget past the clock's range is no limit at all.
+  testing::internal::CaptureStdout();
+  const Status status = RunShardMineCommand(
+      {"--data", items_, "--k", "2", "--budget", "1e10"});
+  const std::string out = testing::internal::GetCapturedStdout();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_NE(out.find("digest"), std::string::npos) << out;
+  EXPECT_EQ(out.find("TIMED OUT"), std::string::npos) << out;
 }
 
 }  // namespace

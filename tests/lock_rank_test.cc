@@ -16,9 +16,9 @@ namespace {
 #if TOPKRGS_LOCK_RANK_IS_ON()
 
 TEST(LockRankTest, IncreasingRanksAreSilent) {
-  Mutex outer(lock_rank::kModelRegistry, "outer");
-  Mutex inner(lock_rank::kExecutorQueue, "inner");
-  Mutex leaf(lock_rank::kMinerTopkStripe, "leaf");
+  Mutex outer(lock_rank::kHttpConnTracking, "outer");
+  Mutex inner(lock_rank::kModelRegistry, "inner");
+  Mutex leaf(lock_rank::kExecutorQueue, "leaf");
   EXPECT_EQ(lock_rank::HeldCount(), 0);
   outer.Lock();
   inner.Lock();
@@ -42,14 +42,14 @@ TEST(LockRankDeathTest, InversionAborts) {
 }
 
 TEST(LockRankDeathTest, SameRankAborts) {
-  // Two stripe-ranked locks held together have no order between them —
+  // Two same-ranked locks held together have no order between them —
   // the strict-increase rule treats equality as an inversion.
-  Mutex stripe_a(lock_rank::kMinerTopkStripe, "stripe_a");
-  Mutex stripe_b(lock_rank::kMinerTopkStripe, "stripe_b");
+  Mutex queue_a(lock_rank::kExecutorQueue, "queue_a");
+  Mutex queue_b(lock_rank::kExecutorQueue, "queue_b");
   EXPECT_DEATH(
       {
-        MutexLock hold_a(stripe_a);
-        MutexLock hold_b(stripe_b);
+        MutexLock hold_a(queue_a);
+        MutexLock hold_b(queue_b);
       },
       "lock rank inversion");
 }
@@ -86,14 +86,14 @@ TEST(LockRankTest, UnrankedLocksAreExempt) {
 }
 
 TEST(LockRankTest, OutOfOrderReleaseUnwindsByIdentity) {
-  Mutex outer(lock_rank::kModelRegistry, "outer");
-  Mutex inner(lock_rank::kExecutorQueue, "inner");
+  Mutex outer(lock_rank::kHttpConnTracking, "outer");
+  Mutex inner(lock_rank::kModelRegistry, "inner");
   outer.Lock();
   inner.Lock();
   outer.Unlock();  // release the OLDER lock first
   EXPECT_EQ(lock_rank::HeldCount(), 1);
-  // With only rank-300 held, a fresh rank-400 acquisition must pass.
-  Mutex leaf(lock_rank::kMinerTopkStripe, "leaf");
+  // With only rank-200 held, a fresh rank-300 acquisition must pass.
+  Mutex leaf(lock_rank::kExecutorQueue, "leaf");
   leaf.Lock();
   leaf.Unlock();
   inner.Unlock();

@@ -172,6 +172,12 @@ TEST(RngTest, SampleWithoutReplacement) {
 TEST(TimerTest, DeadlineUnlimitedNeverExpires) {
   EXPECT_FALSE(Deadline::Unlimited().Expired());
   EXPECT_FALSE(Deadline().Expired());
+  // seconds x 1e9 nanoseconds does not fit the clock's int64 ticks for
+  // these budgets; they mean "no limit", not "already expired".
+  for (double seconds : {1e10, 1e300, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(Deadline(seconds).Expired()) << seconds;
+  }
 }
 
 TEST(TimerTest, DeadlineExpires) {

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # CI gate with two stages:
 #
-#   tsan  — build the ThreadSanitizer preset and run the miner's
-#           thread-setting tests, the sharded-merge oracle and the
-#           classifier/serving thread-safety tests under it. MineTopkRGS
-#           is serial and must give the same lists whatever `threads` is
-#           set to, and the serving stack promises lock-free
-#           shared-classifier Predict; this stage is the race detector
-#           backing the serving side — run it before merging anything
-#           touching src/mine/, src/scale/, src/serve/ or src/util/arena.h.
+#   tsan  — build the ThreadSanitizer preset and run the threaded suites
+#           under it: the classifier/serving thread-safety tests, the
+#           prediction executor, the model registry's hot swap, the HTTP
+#           server and the prediction service. MineTopkRGS is serial; the
+#           serving stack promises lock-free shared-classifier Predict,
+#           and this stage is the race detector backing that promise —
+#           run it before merging anything touching src/serve/ or
+#           src/classify/.
 #
 #   fuzz  — build the fuzz preset (ASan+UBSan, plus libFuzzer when the
 #           compiler is clang) and replay the committed seed + regression
@@ -30,12 +30,9 @@
 #           integer narrowing, C-casts and signed/size comparisons across
 #           src/, shrink-only baseline, src/serve and src/synth pinned at
 #           zero), the bench-gate self-tests (gate_selftest.py — the
-#           redundancy/RSS/coverage gates against pass/fail/vacuous
-#           fixtures, so a broken gate can never silently pass), the
-#           redundant-work-ratio gate (redundancy_gate.py —
-#           8-thread nodes_visited over serial, ceiling 1.15, from the
-#           committed bench/BENCH_topk.json), the out-of-core RSS gate
-#           (rss_gate.py — mine peak RSS within its
+#           RSS and coverage gates against pass/fail/vacuous fixtures,
+#           so a broken gate can never silently pass), the out-of-core
+#           RSS gate (rss_gate.py — mine peak RSS within its
 #           --memory-budget and shard-count-invariant digests, from the
 #           committed bench/BENCH_scale.json), and the hot-path purity
 #           lint self-test + gate (astlint.py, see the astlint stage).
@@ -55,7 +52,7 @@
 #   astlint — hot-path purity gate (DESIGN.md §16) on its own:
 #           tools/lint/astlint.py --self-test (the hazard/clean fixture
 #           pair must still trip every check), then the call-graph lint
-#           over src/ — no allocation, high-rank locks, blocking I/O,
+#           over src/ — no allocation, lock acquisition, blocking I/O,
 #           expensive implicit copies, or formatted Status construction
 #           reachable from any TKRGS_HOT root without a justified
 #           NOLINT(hotpath: ...). Uses libclang over the lint preset's
@@ -123,6 +120,8 @@ cd "$(dirname "$0")/.."
 
 STAGE="${1:-all}"
 FUZZ_SECONDS="${FUZZ_SECONDS:-60}"
+# The test suites that run threads: the tsan stage's default pattern.
+TSAN_SUITES="ThreadSafety|Executor|ModelRegistry|ServeHttp|PredictionService"
 
 run_lint() {
   echo "== configure (lint preset: warnings-as-errors, compile_commands) =="
@@ -278,15 +277,14 @@ run_intsan() {
 }
 
 run_tsan() {
-  local pattern="${1:-TopkParallel}"
+  local pattern="${1:-${TSAN_SUITES}}"
   echo "== configure (tsan) =="
   cmake --preset tsan
   echo "== build (tsan) =="
   cmake --build --preset tsan -j
-  echo "== miner and thread-safety tests under ThreadSanitizer (-R ${pattern}) =="
+  echo "== threaded suites under ThreadSanitizer (-R ${pattern}) =="
   ctest --test-dir build-tsan -R "${pattern}" --output-on-failure
-  echo "tsan gate passed: no data races, miner results unchanged by the" \
-       "threads setting."
+  echo "tsan gate passed: no data races."
 }
 
 run_fuzz() {
@@ -448,7 +446,7 @@ case "${STAGE}" in
   coverage) run_coverage ;;
   ubsan) run_ubsan ;;
   intsan) run_intsan ;;
-  tsan) run_tsan "${2:-TopkParallel|ThreadSafety|ShardMerge}" ;;
+  tsan) run_tsan "${2:-${TSAN_SUITES}}" ;;
   fuzz) run_fuzz ;;
   simd) run_simd ;;
   scale) run_scale ;;
@@ -457,7 +455,7 @@ case "${STAGE}" in
     run_lint
     run_astlint
     run_analyze
-    run_tsan "${2:-TopkParallel|ThreadSafety|ShardMerge}"
+    run_tsan "${2:-${TSAN_SUITES}}"
     run_ubsan
     run_intsan
     run_fuzz

@@ -11,10 +11,9 @@ function TRANSITIVELY REACHABLE from a root:
                      make_shared, allocating container/string growth
                      (push_back, emplace, resize, reserve, append,
                      insert, assign), std::to_string.
-  hot-lock           no lock acquisition below rank
-                     lock_rank::kMinerWorkDeque (the miner's own deque
-                     and top-k stripe locks are the only sanctioned hot
-                     locks) and no raw std:: lock guards (unranked).
+  hot-lock           no lock acquisition of any kind: ranked
+                     MutexLock/ReaderMutexLock/WriterMutexLock or raw
+                     std:: lock guards.
   hot-blocking       no blocking syscalls or I/O: sleeps, yields,
                      condition-variable waits, streams, stdio, sockets.
   hot-copy           no implicit copy of the expensive set types
@@ -71,16 +70,11 @@ FIXTURE_PATH = os.path.join(REPO_ROOT,
                             "tools/lint/testdata/hotpath_fixture.cc")
 CLEAN_FIXTURE_PATH = os.path.join(
     REPO_ROOT, "tools/lint/testdata/hotpath_clean_fixture.cc")
-LOCK_RANKS_PATH = os.path.join(REPO_ROOT, "src/util/lock_ranks.h")
 
 ANALYSIS_ZONES = ("src/",)
 ZERO_BASELINE_DIRS = ("src/mine/", "src/util/")
 EXPENSIVE_TYPES = ("Bitset", "RowSet", "PrefixTree", "RuleGroup")
 JUSTIFY = "<why this is bounded/amortized/unreachable here>"
-
-# Locks at or above this rank are leaf-adjacent by the central table and
-# sanctioned in hot regions; everything below blocks behind slower work.
-MIN_HOT_LOCK_RANK_NAME = "kMinerWorkDeque"
 
 BASELINE_HEADER = (
     "Hot-path purity baseline (tools/lint/astlint.py).",
@@ -138,14 +132,12 @@ PARAM_BYVAL_RE = re.compile(
 STATUS_CTOR_RE = re.compile(r"\b(?:Status|StatusOr<[^;>]*>)\s*(?:::\s*\w+\s*)?\(")
 STATUS_FORMAT_RE = re.compile(r"std::to_string\s*\(|\"\s*\+|\+\s*\"")
 THROW_RE = re.compile(r"\bthrow\b")
-LOCK_ACQ_RE = re.compile(
-    r"\b(?:MutexLock|ReaderMutexLock|WriterMutexLock)\s+\w+\s*[({](.*)")
-STD_LOCK_RE = re.compile(
-    r"\bstd::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b")
-
-RANK_VALUE_RE = re.compile(r"inline constexpr int (k\w+) = (\d+);")
-MUTEX_LABEL_RE = re.compile(r'lock_rank::(k\w+)\s*,\s*"(?:[\w:]+::)*(\w+)"')
-MUTEX_DECL_RE = re.compile(r"\b(\w+)\s*[({]\s*lock_rank::(k\w+)")
+LOCK_RES = [
+    (re.compile(r"\b(?:MutexLock|ReaderMutexLock|WriterMutexLock)\s+\w+"
+                r"\s*[({]"), "lock acquisition"),
+    (re.compile(r"\bstd::(?:lock_guard|unique_lock|scoped_lock|"
+                r"shared_lock)\b"), "raw std:: lock guard"),
+]
 
 QUAL_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*::\s*(~?[A-Za-z_]\w*)\s*\(")
 MEMBER_CALL_RE = re.compile(r"(?:\b(\w+))?\s*(?:\.|->)\s*([A-Za-z_]\w*)\s*\(")
@@ -248,8 +240,8 @@ class _Scope:
 
 
 class Program:
-    """The whole-program model both engines populate: functions, hot
-    declarations, and the mutex-member → rank map."""
+    """The whole-program model both engines populate: functions and hot
+    declarations."""
 
     def __init__(self):
         self.funcs = []
@@ -257,8 +249,6 @@ class Program:
         self.by_name = {}
         self.classes = set()
         self.hot_decls = set()
-        self.mutex_ranks = {}       # (path, member) -> rank name
-        self.mutex_ranks_global = {}  # member -> set of rank names
         self.analyses = {}          # path -> FileAnalysis
 
     def add_func(self, fn):
@@ -397,30 +387,6 @@ def parse_file_internal(path, text, program):
             if not fn.body or fn.body[-1] != idx:
                 fn.body.append(idx)
 
-    # Mutex rank map: the debug label names the member
-    # ("SharedTopk::stripes_"), and brace/paren member inits name it
-    # directly (mu_{lock_rank::kX, ...} / mu_(lock_rank::kX, ...)).
-    # Debug labels live inside string literals, which the code/comment
-    # splitter blanks — scan the raw text for them (joined: labels wrap).
-    for m in MUTEX_LABEL_RE.finditer(" ".join(fa.raw_lines)):
-        rank, member = m.group(1), m.group(2)
-        program.mutex_ranks[(path, member)] = rank
-        program.mutex_ranks_global.setdefault(member, set()).add(rank)
-    for m in MUTEX_DECL_RE.finditer(" ".join(fa.code_lines)):
-        member, rank = m.group(1), m.group(2)
-        if member in ("Mutex", "SharedMutex"):
-            continue
-        program.mutex_ranks[(path, member)] = rank
-        program.mutex_ranks_global.setdefault(member, set()).add(rank)
-
-
-def load_lock_ranks():
-    ranks = {}
-    if os.path.exists(LOCK_RANKS_PATH):
-        with open(LOCK_RANKS_PATH, encoding="utf-8") as f:
-            for m in RANK_VALUE_RE.finditer(f.read()):
-                ranks[m.group(1)] = int(m.group(2))
-    return ranks
 
 
 def paired_path(path):
@@ -431,27 +397,8 @@ def paired_path(path):
     return path
 
 
-def resolve_mutex_rank(program, path, expr):
-    """Rank name for a lock-acquisition argument expression, or None.
-    House style suffixes members with '_', so prefer the first such
-    identifier (skips receiver objects in `other.mu_`)."""
-    ids = re.findall(r"[A-Za-z_]\w*", expr)
-    member = next((t for t in ids if t.endswith("_")), ids[0] if ids else None)
-    if member is None:
-        return None, None
-    for candidate_path in (path, paired_path(path)):
-        rank = program.mutex_ranks.get((candidate_path, member))
-        if rank is not None:
-            return member, rank
-    global_ranks = program.mutex_ranks_global.get(member, set())
-    if len(global_ranks) == 1:
-        return member, next(iter(global_ranks))
-    return member, None
-
-
-def detect_events(program, rank_values):
+def detect_events(program):
     """Populates fn.events and fn.calls for every parsed function."""
-    min_rank = rank_values.get(MIN_HOT_LOCK_RANK_NAME, 350)
     for fn in program.funcs:
         fa = fn.fa
         # Receiver-type map: parameter and local declarations whose class
@@ -535,31 +482,13 @@ def detect_events(program, rank_values):
                                       f"blocking operation ({what}) on a "
                                       "hot path"))
                     break
-            if STD_LOCK_RE.search(code):
-                fn.events.append((idx, "hot-lock",
-                                  "raw std:: lock guard on a hot path: "
-                                  "unranked locks bypass the deadlock "
-                                  "discipline; use the ranked "
-                                  "Mutex/MutexLock wrappers"))
-            m = LOCK_ACQ_RE.search(code)
-            if m:
-                member, rank = resolve_mutex_rank(program, fn.path,
-                                                  m.group(1))
-                value = rank_values.get(rank) if rank else None
-                if value is None:
+            for rx, what in LOCK_RES:
+                if rx.search(code):
                     fn.events.append((idx, "hot-lock",
-                                      f"lock acquisition on '{member}' whose "
-                                      "rank could not be resolved; hot "
-                                      "regions may only take ranked locks "
-                                      f">= lock_rank::"
-                                      f"{MIN_HOT_LOCK_RANK_NAME}"))
-                elif value < min_rank:
-                    fn.events.append((idx, "hot-lock",
-                                      f"lock '{member}' has rank "
-                                      f"lock_rank::{rank} ({value}) < "
-                                      f"{MIN_HOT_LOCK_RANK_NAME} "
-                                      f"({min_rank}): locks this far out "
-                                      "serialize the fast path"))
+                                      f"{what} on a hot path: a lock "
+                                      "serializes the fast path; hot "
+                                      "regions take no locks"))
+                    break
             m = COPY_INIT_RE.search(code)
             if m and LVALUE_RHS_RE.match(m.group(3).strip()):
                 fn.events.append((idx, "hot-copy",
@@ -828,7 +757,7 @@ def build_program_internal(file_texts):
     program = Program()
     for path, text in file_texts:
         parse_file_internal(path, text, program)
-    detect_events(program, load_lock_ranks())
+    detect_events(program)
     return program
 
 
@@ -840,17 +769,9 @@ def build_program_libclang(file_texts, compile_commands):
     args = default_compile_args(compile_commands)
     for path, text in file_texts:
         parse_file_libclang(index, path, text, program, args)
-    # Mutex rank map and line-level events are shared with the internal
-    # engine (fingerprint parity).
-    for path, text in file_texts:
-        fa = program.analyses[path]
-        for idx, code in enumerate(fa.code_lines):
-            for m in MUTEX_LABEL_RE.finditer(code):
-                program.mutex_ranks[(path, m.group(2))] = m.group(1)
-            for m in MUTEX_DECL_RE.finditer(code):
-                if m.group(1) not in ("Mutex", "SharedMutex"):
-                    program.mutex_ranks[(path, m.group(1))] = m.group(2)
-    detect_events(program, load_lock_ranks())
+    # Line-level events are shared with the internal engine (fingerprint
+    # parity).
+    detect_events(program)
     return program, None
 
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Self-tests for the bench-record gates (redundancy, RSS, coverage).
+"""Self-tests for the bench-record gates (RSS, coverage).
 
 The gates guard CI on committed bench artifacts, so a silent bug in a
 gate (a rule that stopped firing, a vacuous pass) fails open — exactly
 the failure mode a gate exists to prevent. This driver exercises each
 gate's pure core against the fixture records in testdata/gates/
-(pass / fail / vacuous for the two bench gates; synthetic stats for the
-coverage floor check) and, for the two file-driven gates, the CLI
-end to end via subprocess so the exit-code contract stays honest.
+(pass / fail / vacuous for the RSS gate; synthetic stats for the
+coverage floor check) and, for the file-driven gate, the CLI end to end
+via subprocess so the exit-code contract stays honest.
 
 stdlib unittest only — the container has no pytest, and the gate
 runner (tools/ci.sh lint, tools/lint/run_all.py) must work everywhere
@@ -27,7 +27,6 @@ GATES_DIR = os.path.join(LINT_DIR, "testdata", "gates")
 sys.path.insert(0, LINT_DIR)
 
 import coverage_gate  # noqa: E402
-import redundancy_gate  # noqa: E402
 import rss_gate  # noqa: E402
 
 
@@ -41,46 +40,6 @@ def run_cli(script, fixture):
         [sys.executable, os.path.join(LINT_DIR, script),
          os.path.join(GATES_DIR, fixture)],
         capture_output=True, text=True, check=False)
-
-
-class RedundancyGateTest(unittest.TestCase):
-    def test_pass_fixture_is_clean(self):
-        failures, skipped, ok_lines, gated = redundancy_gate.evaluate(
-            load("redundancy_pass.json"), "redundancy_pass.json")
-        self.assertEqual(failures, [])
-        self.assertEqual(skipped, [])
-        self.assertEqual(gated, 2)  # the two 8-thread records
-        self.assertEqual(len(ok_lines), 2)
-        self.assertIn("ratio 1.040", ok_lines[0])
-
-    def test_fail_fixture_trips_every_rule(self):
-        failures, _, ok_lines, gated = redundancy_gate.evaluate(
-            load("redundancy_fail.json"), "redundancy_fail.json")
-        self.assertEqual(gated, 2)
-        # Over-ceiling ratio, missing schema fields on the 4-thread
-        # record, and deterministic=false must each produce a failure.
-        self.assertTrue(any("1.310 > ceiling" in f for f in failures))
-        self.assertTrue(any("missing field 'redundant_work_ratio'" in f
-                            for f in failures))
-        self.assertTrue(any("deterministic=false" in f for f in failures))
-        self.assertEqual(len(failures), 3)
-        # The compliant record still reports ok even in a failing run.
-        self.assertEqual(len(ok_lines), 1)
-
-    def test_timed_out_records_make_the_gate_vacuous(self):
-        failures, skipped, _, gated = redundancy_gate.evaluate(
-            load("redundancy_vacuous.json"), "redundancy_vacuous.json")
-        self.assertEqual(gated, 0)
-        self.assertEqual(len(skipped), 1)
-        self.assertTrue(any("vacuous" in f for f in failures))
-
-    def test_cli_exit_codes(self):
-        self.assertEqual(
-            run_cli("redundancy_gate.py", "redundancy_pass.json").returncode,
-            0)
-        proc = run_cli("redundancy_gate.py", "redundancy_fail.json")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("redundancy gate FAILED", proc.stdout)
 
 
 class RssGateTest(unittest.TestCase):

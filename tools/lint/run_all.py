@@ -46,8 +46,6 @@ CHECKS = (
      lambda: lint("cast_lint.py")),
     ("gate-selftest", "bench-gate self-tests (gate_selftest.py)",
      lambda: lint("gate_selftest.py")),
-    ("redundancy", "redundant-work-ratio gate (redundancy_gate.py)",
-     lambda: lint("redundancy_gate.py")),
     ("rss", "out-of-core RSS gate (rss_gate.py)",
      lambda: lint("rss_gate.py")),
     ("astlint-selftest", "astlint self-test (hot-path fixture pair)",

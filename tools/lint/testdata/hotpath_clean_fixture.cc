@@ -1,10 +1,10 @@
 // Hot-path purity CLEAN fixture for tools/lint/astlint.py --self-test.
 // NEVER COMPILED: the mirror image of hotpath_fixture.cc — annotated hot
 // roots whose entire reachable region is pure, plus the shapes the
-// analyzer must NOT flag: word-level set algebra, a lock at a sanctioned
-// rank, a cold allocator that no hot root reaches, elision-friendly
-// prvalue initialization, and a justified NOLINT block. The self-test
-// requires exactly zero findings here.
+// analyzer must NOT flag: word-level set algebra, a cold allocator that
+// no hot root reaches, elision-friendly prvalue initialization, and a
+// justified NOLINT block. The self-test requires exactly zero findings
+// here.
 
 #include "util/hot_path.h"
 
@@ -18,13 +18,6 @@ class Bitset {
   unsigned long long words_[4];
 };
 
-struct Mutex {
-  Mutex(int rank, const char* label) {}
-};
-struct MutexLock {
-  explicit MutexLock(Mutex& mu) {}
-};
-
 class Counter {
  public:
   TKRGS_HOT unsigned long long HotCount(const Bitset& a,
@@ -34,11 +27,6 @@ class Counter {
       total += Popcount(a.word(w) & b.word(w));
     }
     return total;
-  }
-
-  TKRGS_HOT void HotStripe(unsigned long long v) {
-    MutexLock lock(stripe_mu_);
-    last_ = v;
   }
 
   TKRGS_HOT void HotEmit(unsigned long long v) {
@@ -61,9 +49,7 @@ class Counter {
     return n;
   }
 
-  Mutex stripe_mu_{lock_rank::kMinerTopkStripe, "Counter::stripe_mu_"};
   std::vector<unsigned long long> out_;
-  unsigned long long last_ = 0;
 };
 
 }  // namespace lint_fixture_clean

@@ -29,8 +29,8 @@ class RowSet {
   unsigned count_;
 };
 
-// Stub ranked-mutex surface; rank values come from the real
-// src/util/lock_ranks.h table.
+// Stub ranked-mutex surface: a hot region may take no lock, whatever its
+// rank.
 struct Mutex {
   Mutex(int rank, const char* label) {}
 };
@@ -56,7 +56,7 @@ class Sink {
     unsigned* p = new unsigned[8];  // EXPECT-FINDING: hot-alloc
     ids_.push_back(3);              // EXPECT-FINDING: hot-alloc
     MutexLock bad(reg_mu_);         // EXPECT-FINDING: hot-lock
-    MutexLock good(deque_mu_);
+    MutexLock inner(queue_mu_);     // EXPECT-FINDING: hot-lock
     std::this_thread::yield();      // EXPECT-FINDING: hot-blocking
     RowSet copy = cached_;          // EXPECT-FINDING: hot-alloc,hot-copy
     Helper();
@@ -94,7 +94,7 @@ class Sink {
 
  private:
   Mutex reg_mu_{lock_rank::kModelRegistry, "Sink::reg_mu_"};
-  Mutex deque_mu_{lock_rank::kMinerWorkDeque, "Sink::deque_mu_"};
+  Mutex queue_mu_{lock_rank::kExecutorQueue, "Sink::queue_mu_"};
   std::vector<unsigned> ids_;
   std::vector<unsigned> buffer_;
   std::vector<unsigned> tmp_;
