@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -42,7 +41,6 @@ struct ScaleCase {
 void RunCase(const ScaleCase& c, JsonWriter* out) {
   const ScaleProfile& p = c.profile;
   const uint32_t minsup = p.SuggestedMinSupport();
-  const uint32_t threads = std::max(1u, std::thread::hardware_concurrency());
   const std::string items_path = TempPath(p.name + ".items");
 
   std::printf("=== %s: %" PRIu64 " rows x %u items (minsup %u)\n",
@@ -130,7 +128,6 @@ void RunCase(const ScaleCase& c, JsonWriter* out) {
     plan_opt.shard_count = shards;
     plan_opt.memory_budget_bytes = budget;
     ShardMineOptions mine_opt;
-    mine_opt.threads = threads;
     mine_opt.deadline = Deadline(point_budget);
 
     ResetPeakRss();
@@ -164,7 +161,6 @@ void RunCase(const ScaleCase& c, JsonWriter* out) {
         .Int("items", p.num_items)
         .Int("shard_count", shards)
         .Int("shards_planned", static_cast<long long>(plan.shards.size()))
-        .Int("threads", threads)
         .Int("k", 3)
         .Int("min_support", minsup)
         .Int("effective_min_support", merged.effective_min_support)

@@ -11,7 +11,6 @@
 #include "classify/model_io.h"
 #include "classify/rcbt.h"
 #include "cli/flags.h"
-#include "mine/carpenter.h"
 #include "mine/charm.h"
 #include "mine/closet.h"
 #include "mine/farmer.h"
@@ -245,18 +244,6 @@ Status RunMineCommand(const std::vector<std::string>& args) {
         break;
       }
     }
-  } else if (algorithm == "carpenter") {
-    CarpenterOptions opt;
-    opt.min_support = minsup.value();
-    opt.deadline = Deadline(budget.value());
-    const CarpenterResult result = MineCarpenter(data, opt);
-    std::printf("carpenter found %zu closed patterns%s (class-agnostic)\n",
-                result.patterns.size(),
-                result.stats.timed_out ? " (budget hit; partial)" : "");
-    std::printf("search: %llu nodes in %.3fs\n",
-                static_cast<unsigned long long>(result.stats.nodes_visited),
-                result.stats.seconds);
-    return Status::OK();
   } else {
     return Status::InvalidArgument("unknown --algorithm '" + algorithm + "'");
   }

@@ -23,7 +23,7 @@ namespace topkrgs {
 /// (label column + gene columns; entropy-MDL discretization is fitted on
 /// the input).
 ///   --data PATH (required)       input TSV
-///   --algorithm topk|farmer|charm|closet|carpenter (default topk)
+///   --algorithm topk|farmer|charm|closet (default topk)
 ///   --consequent N               class label to mine for (default 1)
 ///   --minsup N | --minsup-frac F absolute or class-relative support
 ///                                (default --minsup-frac 0.7)

@@ -1,7 +1,6 @@
 #include "mine/naive_miner.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "mine/miner_common.h"
 #include "util/status.h"
@@ -45,39 +44,6 @@ std::vector<RuleGroup> NaiveRuleGroups(const DiscreteDataset& data,
     groups.push_back(std::move(g));
   }
   return groups;
-}
-
-std::vector<ClosedPattern> NaiveClosedPatterns(const DiscreteDataset& data,
-                                               uint32_t min_support) {
-  const uint32_t n = data.num_rows();
-  TOPKRGS_CHECK(n <= 24, "NaiveClosedPatterns is exponential; use small data");
-  min_support = std::max<uint32_t>(1, min_support);
-
-  Bitset frequent(data.num_items());
-  for (ItemId i = 0; i < data.num_items(); ++i) {
-    if (data.ItemSupport(i) >= min_support) frequent.Set(i);
-  }
-
-  std::vector<ClosedPattern> patterns;
-  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
-    if (static_cast<uint32_t>(std::popcount(mask)) < min_support) continue;
-    Bitset rows(n);
-    for (uint32_t r = 0; r < n; ++r) {
-      if ((mask >> r) & 1) rows.Set(r);
-    }
-    Bitset items = frequent;
-    rows.ForEach([&](size_t r) {
-      items.IntersectWith(data.row_bitset(static_cast<RowId>(r)));
-    });
-    if (items.None()) continue;
-    if (!(data.ItemSupportSet(items) == rows)) continue;
-    ClosedPattern p;
-    p.items = std::move(items);
-    p.support = static_cast<uint32_t>(rows.Count());
-    p.rows = std::move(rows);
-    patterns.push_back(std::move(p));
-  }
-  return patterns;
 }
 
 std::vector<std::vector<RuleGroup>> NaiveTopkRGS(const DiscreteDataset& data,

@@ -6,7 +6,6 @@
 
 #include "core/dataset.h"
 #include "core/rule.h"
-#include "mine/carpenter.h"
 
 namespace topkrgs {
 
@@ -22,12 +21,6 @@ namespace topkrgs {
 std::vector<RuleGroup> NaiveRuleGroups(const DiscreteDataset& data,
                                        ClassLabel consequent,
                                        uint32_t min_support);
-
-/// All closed patterns (closed itemsets with their row supports) whose
-/// total support is >= min_support, ignoring class labels — the oracle for
-/// CARPENTER.
-std::vector<ClosedPattern> NaiveClosedPatterns(const DiscreteDataset& data,
-                                               uint32_t min_support);
 
 /// The top-k covering rule groups of every row (Definition 2.3), computed
 /// by ranking the full NaiveRuleGroups output. per_row[r] is empty for rows

@@ -12,7 +12,7 @@
 namespace topkrgs {
 
 /// The interchangeable encodings of a projected transposed table used by
-/// the FARMER and CARPENTER baselines (the backends Figure 6 compares).
+/// the FARMER baseline (the backends Figure 6 compares).
 /// All expose the same contract:
 ///
 ///  * Positions(out): the candidate row positions present in this projection

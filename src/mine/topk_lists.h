@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -12,17 +11,6 @@
 #include "util/check.h"
 
 namespace topkrgs {
-
-/// A rule group shared between the per-row lists of every row it covers.
-/// Seeded single-item groups start `provisional`: their antecedent is the
-/// single item, not yet the closure (upper bound); they are upgraded in
-/// place when the real upper bound is inserted, or closed by the miner's
-/// finalization pass.
-struct GroupHandle {
-  RuleGroup group;
-  bool provisional = false;
-};
-using HandlePtr = std::shared_ptr<GroupHandle>;
 
 /// A rule group's significance key (Definition 2.2): support and
 /// antecedent support. (0, 0) ranks below every real group, whose support
@@ -36,51 +24,40 @@ struct Significance {
 /// every seed and emission here once, in discovery order, and prunes
 /// against the lists' k-th entries; the sharded merge replays each shard's
 /// final lists through the same type (DESIGN.md §14). Both therefore make
-/// every list decision — dedup, provisional upgrade, k-th tie rejection,
-/// the final minsup raise — through this one type.
+/// every list decision — k-th tie rejection, dedup, the final minsup raise
+/// — through this one type. A list shares its groups with every other
+/// list that holds them.
 class TopkLists {
  public:
   TopkLists() = default;
   TopkLists(uint32_t num_slots, uint32_t k)
       : k_(k), lists_(num_slots), kth_(num_slots) {}
 
-  /// The paper's per-row list maintenance. Dedups by the identity triple
-  /// (support, antecedent support, row support), upgrading a provisional
-  /// seed in place when the matching upper bound arrives (§4.1.1, first
-  /// optimization); ties on significance keep the earlier arrival,
-  /// matching CBA's "<" order.
-  void Insert(uint32_t slot, const HandlePtr& handle) {
+  /// The paper's per-row list maintenance. Returns whether `group` entered
+  /// the slot's list. A group no more significant than a full list's k-th
+  /// entry is rejected first (a tie keeps the earlier arrival, matching
+  /// CBA's "<" order); one whose identity triple (support, antecedent
+  /// support, row support) is already listed is rejected next. A rejected
+  /// group changes nothing, so the order of the two checks cannot matter.
+  bool Insert(uint32_t slot, const RuleGroupPtr& group) {
     auto& list = lists_[slot];
-    const RuleGroup& g = handle->group;
-
-    for (auto& existing : list) {
-      RuleGroup& e = existing->group;
-      if (e.support == g.support &&
-          e.antecedent_support == g.antecedent_support &&
-          e.row_support == g.row_support) {
-        if (existing->provisional && !handle->provisional) {
-          e.antecedent = g.antecedent;
-          existing->provisional = false;
-        }
-        return;
+    const RuleGroup& g = *group;
+    auto outranks = [&g](const RuleGroupPtr& e) {
+      return CompareSignificance(g.support, g.antecedent_support, e->support,
+                                 e->antecedent_support) > 0;
+    };
+    if (list.size() >= k_ && !outranks(list.back())) return false;
+    for (const RuleGroupPtr& e : list) {
+      if (e->support == g.support &&
+          e->antecedent_support == g.antecedent_support &&
+          e->row_support == g.row_support) {
+        return false;
       }
     }
-
-    if (list.size() >= k_) {
-      const RuleGroup& kth = list.back()->group;
-      if (CompareSignificance(g.support, g.antecedent_support, kth.support,
-                              kth.antecedent_support) <= 0) {
-        return;  // not more significant than the current k-th entry
-      }
-    }
-    auto it = std::find_if(list.begin(), list.end(), [&](const HandlePtr& e) {
-      return CompareSignificance(g.support, g.antecedent_support,
-                                 e->group.support,
-                                 e->group.antecedent_support) > 0;
-    });
-    list.insert(it, handle);
+    list.insert(std::find_if(list.begin(), list.end(), outranks), group);
     if (list.size() > k_) list.pop_back();
     if (list.size() >= k_) UpdateKth(slot);
+    return true;
   }
 
   /// The significance of the slot's k-th entry; (0, 0) while the list
@@ -91,19 +68,10 @@ class TopkLists {
   /// deriving something from all of them rescans only after one moved.
   uint64_t kth_changes() const { return kth_changes_; }
 
-  /// The slot's list, most significant first.
-  const std::vector<HandlePtr>& at(uint32_t slot) const {
-    return lists_[slot];
-  }
-
-  /// Appends the slot's list to *out, sharing each handle's group. Every
-  /// provisional seed must have been closed first.
+  /// Appends the slot's list, most significant first, to *out. The
+  /// groups are shared, not copied.
   void Export(uint32_t slot, std::vector<RuleGroupPtr>* out) const {
-    out->reserve(out->size() + lists_[slot].size());
-    for (const HandlePtr& handle : lists_[slot]) {
-      TKRGS_DCHECK(!handle->provisional, "exporting an unclosed seed");
-      out->push_back(RuleGroupPtr(handle, &handle->group));
-    }
+    out->insert(out->end(), lists_[slot].begin(), lists_[slot].end());
   }
 
   /// The lowest k-th support over `slots` when every one of them holds k
@@ -137,14 +105,12 @@ class TopkLists {
     const auto& list = lists_[slot];
     TKRGS_DCHECK_SORTED(
         list.begin(), list.end(),
-        [](const HandlePtr& a, const HandlePtr& b) {
-          return CompareSignificance(a->group.support,
-                                     a->group.antecedent_support,
-                                     b->group.support,
-                                     b->group.antecedent_support) > 0;
+        [](const RuleGroupPtr& a, const RuleGroupPtr& b) {
+          return CompareSignificance(a->support, a->antecedent_support,
+                                     b->support, b->antecedent_support) > 0;
         },
         "per-row list must stay sorted by significance");
-    const RuleGroup& g = list.back()->group;
+    const RuleGroup& g = *list.back();
     const Significance kth{g.support, g.antecedent_support};
     Significance& stored = kth_[slot];
     if (kth.sup == stored.sup && kth.asup == stored.asup) return;
@@ -160,7 +126,7 @@ class TopkLists {
   }
 
   uint32_t k_ = 1;
-  std::vector<std::vector<HandlePtr>> lists_;
+  std::vector<std::vector<RuleGroupPtr>> lists_;
   std::vector<Significance> kth_;  // kth_[slot] mirrors Kth(slot)
   uint64_t kth_changes_ = 0;
 };

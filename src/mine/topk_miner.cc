@@ -154,6 +154,9 @@ class TopkSearch {
   /// The per-row top-k lists: every seed and emission goes here once, and
   /// every pruning decision reads their k-th entries.
   TopkLists lists_;
+  /// The seeds that entered a list, for Finalize to close. Weak, so that
+  /// a seed evicted from every list is freed as it goes.
+  std::vector<std::weak_ptr<RuleGroup>> seeds_;
   /// lists_.kth_changes() at the last minsup scan. Before the first
   /// change no list is full, so there is nothing to scan.
   uint64_t minsup_scanned_at_ = 0;
@@ -192,19 +195,21 @@ void TopkSearch::SeedSingleItems(const Bitset& frequent_items) {
     const ItemId item = static_cast<ItemId>(item_index);
     const Bitset& rows = data_.item_rows(item);
     if (rows.Intersects(out_of_scope)) return;
-    auto handle = std::make_shared<GroupHandle>();
-    handle->provisional = true;
-    handle->group.antecedent = Bitset(data_.num_items());
-    handle->group.antecedent.Set(item);
-    handle->group.row_support = rows;
-    handle->group.consequent = consequent_;
-    handle->group.antecedent_support = static_cast<uint32_t>(rows.Count());
-    handle->group.support =
-        static_cast<uint32_t>(rows.IntersectCount(class_rows));
+    // The antecedent stays empty until Finalize closes the seeds that
+    // are still listed: nothing before the result reads it.
+    auto seed = std::make_shared<RuleGroup>();
+    seed->row_support = rows;
+    seed->consequent = consequent_;
+    // NOLINT(cast: Count() <= num_rows, a uint32)
+    seed->antecedent_support = static_cast<uint32_t>(rows.Count());
+    // NOLINT(cast: Count() <= num_rows, a uint32)
+    seed->support = static_cast<uint32_t>(rows.IntersectCount(class_rows));
+    bool listed = false;
     rows.ForEach([&](size_t row) {
       if (data_.label(static_cast<RowId>(row)) != consequent_) return;
-      lists_.Insert(position_of_[row], handle);
+      listed |= lists_.Insert(position_of_[row], seed);
     });
+    if (listed) seeds_.push_back(seed);
   });
 }
 
@@ -273,29 +278,27 @@ void TopkSearch::EmitAt(const RowSet& items, std::span<const uint32_t> cand,
   if (xp_ < minsup_) return;
   if (opt_.use_topk_pruning && !Admits(xp_, xp_ + xn_, cand, cut)) {
     // No more significant than the k-th entry of every coverable row: it
-    // would enter no list. (A suppressed emission may duplicate a
-    // provisional seed's support set; Finalize closes surviving
-    // provisionals itself, so the lost upgrade is harmless.)
+    // would enter no list.
     return;
   }
-  // NOLINT(hotpath: one handle per emitted group; EmitAt runs only for
-  // closed nodes that pass the top-k admission cut, not per node)
-  auto handle = std::make_shared<GroupHandle>();
+  // NOLINT(hotpath: one group per emission; EmitAt runs only for closed
+  // nodes that pass the top-k admission cut, not per node)
+  auto group = std::make_shared<RuleGroup>();
   // NOLINT(hotpath: materializes the emitted group's itemset once)
-  handle->group.antecedent = items.ToBitset();
-  handle->group.consequent = consequent_;
-  handle->group.support = xp_;
-  handle->group.antecedent_support = xp_ + xn_;
+  group->antecedent = items.ToBitset();
+  group->consequent = consequent_;
+  group->support = xp_;
+  group->antecedent_support = xp_ + xn_;
   // NOLINT(hotpath: row-support bitmap built once per emitted group)
   Bitset rows(data_.num_rows());
   for (uint32_t pos : x_stack_) rows.Set(order_[pos]);
-  handle->group.row_support = std::move(rows);
+  group->row_support = std::move(rows);
   ++stats_.groups_emitted;
   for (uint32_t pos : x_stack_) {
     if (!IsPos(pos)) continue;
     // NOLINT(hotpath: once per covered row of an emitted group; the list
     // insert shifts at most k entries and spills the (k+1)-th)
-    lists_.Insert(pos, handle);
+    lists_.Insert(pos, group);
   }
 }
 
@@ -577,18 +580,32 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
 }
 
 void TopkSearch::Finalize(const Bitset& frequent_items, TopkResult* result) {
+  // Close every seed still listed: its antecedent is I(R) over the
+  // frequent items, the antecedent the search emits for the same support
+  // set R. Read from the postings, that is the frequent items whose rows
+  // hold R.
+  for (const std::weak_ptr<RuleGroup>& weak : seeds_) {
+    const std::shared_ptr<RuleGroup> seed = weak.lock();
+    if (seed == nullptr) continue;  // evicted from every list
+    seed->antecedent = Bitset(data_.num_items());
+    frequent_items.ForEach([&](size_t item_index) {
+      // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
+      const ItemId item = static_cast<ItemId>(item_index);
+      if (seed->row_support.IsSubsetOf(data_.item_rows(item))) {
+        seed->antecedent.Set(item);
+      }
+    });
+  }
   result->per_row.assign(data_.num_rows(), {});
   for (uint32_t pos : positive_positions_) {
-    for (const HandlePtr& handle : lists_.at(pos)) {
-      if (!handle->provisional) continue;
-      // Close the seeded single item: its upper bound was never emitted
-      // (the emitting node was pruned as strictly-dominated).
-      Bitset closure = data_.RowSupportSet(handle->group.row_support);
-      closure.IntersectWith(frequent_items);
-      handle->group.antecedent = std::move(closure);
-      handle->provisional = false;
-    }
-    lists_.Export(pos, &result->per_row[order_[pos]]);
+    std::vector<RuleGroupPtr>& out = result->per_row[order_[pos]];
+    lists_.Export(pos, &out);
+    TKRGS_DCHECK(std::all_of(out.begin(), out.end(),
+                             [&](const RuleGroupPtr& group) {
+                               return group->antecedent.size() ==
+                                      data_.num_items();
+                             }),
+                 "exporting an unclosed seed");
   }
   result->effective_min_support =
       opt_.dynamic_min_support

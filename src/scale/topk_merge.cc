@@ -1,9 +1,7 @@
 #include "scale/topk_merge.h"
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,23 +19,14 @@ MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,
                                              plan.positives);
   TopkLists lists(view.num_rows, plan.k);
   // Shard order, then position order, then list order: the canonical
-  // order of the single-shot insertion stream (DESIGN.md §14). Handles are
-  // shared across the rows a group covers, like the miner's.
+  // order of the single-shot insertion stream (DESIGN.md §14). Every shard
+  // has closed its groups and shares each across the rows it covers, like
+  // the miner, so the merge lists them as they are.
   for (const ShardResult& shard : shards) {
-    // NOLINT(determinism: pointer-keyed identity map probed via
-    // operator[] only, never iterated — inserts walk the shard's
-    // per-position lists in order, so neither bucket order nor
-    // addresses can leak into the merge)
-    std::unordered_map<const RuleGroup*, HandlePtr> wrapped;
     const uint32_t begin = plan.shards[shard.shard_index].begin_pos;
     for (uint32_t i = 0; i < shard.per_pos.size(); ++i) {
       for (const RuleGroupPtr& group : shard.per_pos[i]) {
-        HandlePtr& handle = wrapped[group.get()];
-        if (handle == nullptr) {
-          handle = std::make_shared<GroupHandle>();
-          handle->group = *group;
-        }
-        lists.Insert(plan.order[begin + i], handle);
+        lists.Insert(plan.order[begin + i], group);
       }
     }
   }

@@ -28,7 +28,6 @@
 #include "core/types.h"
 #include "discretize/binning.h"
 #include "discretize/entropy_discretizer.h"
-#include "mine/carpenter.h"
 #include "mine/charm.h"
 #include "mine/closet.h"
 #include "mine/farmer.h"

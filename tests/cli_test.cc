@@ -91,8 +91,7 @@ TEST_F(CliCommandsTest, MineTopk) {
 }
 
 TEST_F(CliCommandsTest, MineEveryAlgorithm) {
-  for (const char* algo :
-       {"topk", "farmer", "charm", "closet", "carpenter"}) {
+  for (const char* algo : {"topk", "farmer", "charm", "closet"}) {
     EXPECT_TRUE(RunMineCommand({"--data", train_, "--algorithm", algo,
                                 "--budget", "10", "--max-print", "1"})
                     .ok())

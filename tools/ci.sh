@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate with two stages:
+# CI gate with eleven stages:
 #
 #   tsan  — build the ThreadSanitizer preset and run the threaded suites
 #           under it: the classifier/serving thread-safety tests, the
@@ -39,7 +39,11 @@
 #           Then a
 #           warnings-as-errors build of the lint preset, which also
 #           enforces -Werror=unused-result on the [[nodiscard]] Status
-#           surface. When a clang toolchain is on PATH it additionally
+#           surface, and a compile-only build of the end-to-end
+#           benchmark's perfbench_main (perfbench/CMakeLists.txt, which
+#           compiles ../src on its own) into build-perfbench/; nothing
+#           runs, but a library change that breaks the benchmark's build
+#           fails here. When a clang toolchain is on PATH it additionally
 #           compiles src/ with -Wthread-safety -Werror (the
 #           thread-safety-annotation gate) and runs clang-tidy against the
 #           exported compile_commands.json, and requires the
@@ -137,6 +141,14 @@ run_lint() {
   echo "== warnings-as-errors build (-Werror, -Werror=unused-result) =="
   cmake --build --preset lint -j
 
+  # perfbench/ builds the library from ../src by itself, so a source
+  # added, removed or renamed in src/ can break it while every preset
+  # above stays green. Compile only; the benchmark runs elsewhere.
+  echo "== end-to-end benchmark build (perfbench_main, compile only) =="
+  cmake -S perfbench -B build-perfbench -G Ninja \
+    -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-perfbench -j --target perfbench_main
+
   # The thread-safety-annotation and clang-tidy gates need a clang
   # toolchain; degrade with an explicit notice rather than a silent pass
   # so CI logs show exactly which checks ran.
@@ -192,7 +204,7 @@ run_lint() {
     echo " lifetimebound annotations expand to nothing under this toolchain)"
   fi
   echo "lint gate passed: include discipline clean, determinism lint clean," \
-       "warnings-as-errors build green."
+       "warnings-as-errors build green, perfbench_main compiles."
 }
 
 run_astlint() {

@@ -53,9 +53,8 @@ def evaluate(records, path):
     for rec in records:
         if rec.get("kind") != "mine":
             continue
-        where = "{} shards={} threads={}".format(
-            rec.get("profile", "?"), rec.get("shard_count", "?"),
-            rec.get("threads", "?"))
+        where = "{} shards={}".format(
+            rec.get("profile", "?"), rec.get("shard_count", "?"))
         missing = [field for field in
                    ("peak_rss_kb", "memory_budget_bytes",
                     "materialized_bytes", "deterministic")
