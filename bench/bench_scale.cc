@@ -8,7 +8,8 @@
 //                   carries the output digest and a `deterministic` flag
 //                   (digest equals the shard_count=1 baseline), which
 //                   tools/lint/rss_gate.py gates on, together with
-//                   peak_rss_kb <= memory_budget_bytes.
+//                   peak_rss_kb <= memory_budget_bytes and the planner's
+//                   estimated_peak_bytes <= 3 x peak_rss_kb.
 //
 // The reduced profile runs by default (CI's scale stage); set
 // TOPKRGS_BENCH_SCALE_FULL=1 to add the 100k x 10k headline profile.
@@ -167,6 +168,8 @@ void RunCase(const ScaleCase& c, JsonWriter* out) {
         .Num("seconds", mine_s)
         .Int("peak_rss_kb", peak_kb)
         .Int("memory_budget_bytes", static_cast<long long>(budget))
+        .Int("estimated_peak_bytes",
+             static_cast<long long>(plan.estimated_peak_bytes))
         .Int("materialized_bytes", static_cast<long long>(materialized_bytes))
         .Str("digest", digest_hex)
         .Bool("deterministic", deterministic)

@@ -172,29 +172,6 @@ Bitset DiscreteDataset::ClassRowset(ClassLabel cls) const {
   return rows;
 }
 
-DiscreteDataset DiscreteDataset::FilterInfrequentItems(
-    uint32_t min_support, std::vector<ItemId>* kept_items) const {
-  std::vector<ItemId> remap(num_items_, kInvalidId);
-  std::vector<ItemId> kept;
-  for (ItemId i = 0; i < num_items_; ++i) {
-    if (ItemSupport(i) >= min_support) {
-      // NOLINT(cast: kept.size() < num_items_ <= kMaxItemUniverse)
-      remap[i] = static_cast<ItemId>(kept.size());
-      kept.push_back(i);
-    }
-  }
-  std::vector<std::vector<ItemId>> new_rows(num_rows());
-  for (RowId r = 0; r < num_rows(); ++r) {
-    for (ItemId item : rows_[r]) {
-      if (remap[item] != kInvalidId) new_rows[r].push_back(remap[item]);
-    }
-  }
-  if (kept_items != nullptr) *kept_items = kept;
-  // NOLINT(cast: kept.size() <= num_items_, a uint32)
-  return DiscreteDataset(static_cast<uint32_t>(kept.size()),
-                         std::move(new_rows), labels_);
-}
-
 DiscreteDataset DiscreteDataset::SelectRows(const std::vector<RowId>& rows) const {
   std::vector<std::vector<ItemId>> new_rows;
   std::vector<ClassLabel> new_labels;

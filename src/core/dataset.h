@@ -117,12 +117,6 @@ class DiscreteDataset {
   /// Rows of the given class as a bitset.
   Bitset ClassRowset(ClassLabel cls) const;
 
-  /// New dataset with only items whose support is >= min_support; item ids
-  /// are remapped densely. `kept_items`, when non-null, receives the original
-  /// item id of each new id.
-  DiscreteDataset FilterInfrequentItems(uint32_t min_support,
-                                        std::vector<ItemId>* kept_items) const;
-
   /// New dataset containing the given rows (in the given order).
   DiscreteDataset SelectRows(const std::vector<RowId>& rows) const;
 

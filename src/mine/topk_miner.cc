@@ -28,9 +28,9 @@ inline bool Dominated(uint32_t sup, uint32_t asup, const Significance& cut) {
 
 class TopkSearch {
  public:
-  TopkSearch(const DiscreteDataset& data, ClassLabel consequent,
+  TopkSearch(const FrequentItemIndex& index, ClassLabel consequent,
              const TopkMinerOptions& options)
-      : data_(data), consequent_(consequent), opt_(options) {}
+      : index_(index), consequent_(consequent), opt_(options) {}
 
   TopkResult Run();
 
@@ -109,7 +109,7 @@ class TopkSearch {
   /// where a shard scope stops at first_level_end.
   void MineRoot(const RowSet& items, uint32_t items_count);
 
-  void SeedSingleItems(const Bitset& frequent_items);
+  void SeedSingleItems();
   TKRGS_HOT void MaybeRaiseMinsup();
 
   /// The top-k admission check (§4.1.1, Lemma 3.2): whether some positive
@@ -133,11 +133,13 @@ class TopkSearch {
   /// (the node's candidates) rejects it.
   TKRGS_HOT void EmitAt(const RowSet& items, std::span<const uint32_t> cand,
                         Significance* cut);
-  void Finalize(const Bitset& frequent_items, TopkResult* result);
+  void Finalize(TopkResult* result);
 
   bool IsPos(uint32_t pos) const { return pos_positive_[pos] != 0; }
+  /// The columns of the row at ORD position `pos`.
+  const Bitset& RowAt(uint32_t pos) const { return index_.row(order_[pos]); }
 
-  const DiscreteDataset& data_;
+  const FrequentItemIndex& index_;
   const ClassLabel consequent_;
   const TopkMinerOptions& opt_;
 
@@ -145,7 +147,7 @@ class TopkSearch {
   std::vector<uint32_t> position_of_;  // original row id -> position
   std::vector<uint8_t> pos_positive_;  // position -> is consequent-class
   std::vector<uint32_t> positive_positions_;  // in scope: >= begin_pos
-  std::vector<uint32_t> item_support_;  // item -> |item_rows(item)|
+  std::vector<uint32_t> item_support_;  // column -> |column(c)|
   uint32_t item_words_ = 0;  // 64-bit words of an item-universe bitmap
   uint32_t row_words_ = 0;   // 64-bit words of a row bitmap
   uint32_t initial_minsup_ = 1;
@@ -181,20 +183,22 @@ class TopkSearch {
   MinerStats stats_;
 };
 
-void TopkSearch::SeedSingleItems(const Bitset& frequent_items) {
-  const Bitset class_rows = data_.ClassRowset(consequent_);
+void TopkSearch::SeedSingleItems() {
+  Bitset class_rows(index_.num_rows());
+  for (RowId r = 0; r < index_.num_rows(); ++r) {
+    if (index_.label(r) == consequent_) class_rows.Set(r);
+  }
   // Rows before the shard scope (none in stand-alone mining). Shard 0
   // plants every seed; a later shard skips the seeds an out-of-scope row
   // holds, which shard 0 already lists, so its search is the one over its
   // own rows alone (DESIGN.md §14).
-  Bitset out_of_scope(data_.num_rows());
+  Bitset out_of_scope(index_.num_rows());
   for (uint32_t pos = 0; pos < opt_.begin_pos; ++pos) {
     out_of_scope.Set(order_[pos]);
   }
-  frequent_items.ForEach([&](size_t item_index) {
-    const ItemId item = static_cast<ItemId>(item_index);
-    const Bitset& rows = data_.item_rows(item);
-    if (rows.Intersects(out_of_scope)) return;
+  for (uint32_t c = 0; c < index_.num_columns(); ++c) {
+    const Bitset& rows = index_.column(c);
+    if (rows.Intersects(out_of_scope)) continue;
     // The antecedent stays empty until Finalize closes the seeds that
     // are still listed: nothing before the result reads it.
     auto seed = std::make_shared<RuleGroup>();
@@ -206,11 +210,11 @@ void TopkSearch::SeedSingleItems(const Bitset& frequent_items) {
     seed->support = static_cast<uint32_t>(rows.IntersectCount(class_rows));
     bool listed = false;
     rows.ForEach([&](size_t row) {
-      if (data_.label(static_cast<RowId>(row)) != consequent_) return;
+      if (index_.label(static_cast<RowId>(row)) != consequent_) return;
       listed |= lists_.Insert(position_of_[row], seed);
     });
     if (listed) seeds_.push_back(seed);
-  });
+  }
 }
 
 void TopkSearch::MaybeRaiseMinsup() {
@@ -284,13 +288,13 @@ void TopkSearch::EmitAt(const RowSet& items, std::span<const uint32_t> cand,
   // NOLINT(hotpath: one group per emission; EmitAt runs only for closed
   // nodes that pass the top-k admission cut, not per node)
   auto group = std::make_shared<RuleGroup>();
-  // NOLINT(hotpath: materializes the emitted group's itemset once)
-  group->antecedent = items.ToBitset();
+  // NOLINT(hotpath: lifts the emitted group's columns to items once)
+  group->antecedent = index_.Lift(items);
   group->consequent = consequent_;
   group->support = xp_;
   group->antecedent_support = xp_ + xn_;
   // NOLINT(hotpath: row-support bitmap built once per emitted group)
-  Bitset rows(data_.num_rows());
+  Bitset rows(index_.num_rows());
   for (uint32_t pos : x_stack_) rows.Set(order_[pos]);
   group->row_support = std::move(rows);
   ++stats_.groups_emitted;
@@ -378,20 +382,21 @@ void TopkSearch::CountFreq(std::span<const uint32_t> cand,
   // NOLINT(hotpath: a member buffer; it keeps its capacity across nodes)
   cand_freq_.resize(cand.size());
   const uint64_t n = items.Count();
-  const bool sparse = items.is_sparse();
+  // The representation a full-width I(X) would have (see
+  // CountFreqFromPostings), not the one of this narrower set.
+  const bool sparse = RowSet::PreferSparse(n, index_.universe());
   bool postings =
       CountFreqFromPostings(cand.size(), n, sparse, item_words_, 0, row_words_);
   if (postings) {
     uint64_t support_sum = 0;
-    items.ForEach([&](size_t item) { support_sum += item_support_[item]; });
+    items.ForEach([&](size_t c) { support_sum += item_support_[c]; });
     postings = CountFreqFromPostings(cand.size(), n, sparse, item_words_,
                                      support_sum, row_words_);
   }
   if (!postings) {
     for (size_t c = 0; c < cand.size(); ++c) {
       // NOLINT(cast: IntersectCount <= num_items <= kMaxItemUniverse = 2^20)
-      cand_freq_[c] = static_cast<uint32_t>(
-          items.IntersectCount(data_.row_bitset(order_[cand[c]])));
+      cand_freq_[c] = static_cast<uint32_t>(items.IntersectCount(RowAt(cand[c])));
     }
     return;
   }
@@ -399,21 +404,21 @@ void TopkSearch::CountFreq(std::span<const uint32_t> cand,
   if (row_count_.empty()) {
     // NOLINT(hotpath: one-time growth on the first postings scan; every
     // later scan reuses the counter allocation-free)
-    row_count_.assign(data_.num_rows(), 0);
+    row_count_.assign(index_.num_rows(), 0);
   }
   uint32_t* count = row_count_.data();
-  auto rows_of = [&](size_t item) -> const Bitset& {
-    // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
-    return data_.item_rows(static_cast<ItemId>(item));
+  auto rows_of = [&](size_t c) -> const Bitset& {
+    // NOLINT(cast: ForEach yields bit positions < num_columns, a uint32)
+    return index_.column(static_cast<uint32_t>(c));
   };
-  items.ForEach([&](size_t item) {
-    rows_of(item).ForEach([count](size_t row) { ++count[row]; });
+  items.ForEach([&](size_t c) {
+    rows_of(c).ForEach([count](size_t row) { ++count[row]; });
   });
   for (size_t c = 0; c < cand.size(); ++c) {
     cand_freq_[c] = count[order_[cand[c]]];
   }
-  items.ForEach([&](size_t item) {
-    rows_of(item).ForEach([count](size_t row) { count[row] = 0; });
+  items.ForEach([&](size_t c) {
+    rows_of(c).ForEach([count](size_t row) { count[row] = 0; });
   });
 }
 
@@ -456,22 +461,22 @@ void TopkSearch::ScanAndAbsorb(std::span<const uint32_t> cand,
 bool TopkSearch::HeldEarlier(const RowSet& items, uint32_t items_count,
                              uint32_t p) const {
   auto holds = [&](uint32_t q) {
-    return !in_x_[q] && items.IsSubsetOf(data_.row_bitset(order_[q]));
+    return !in_x_[q] && items.IsSubsetOf(RowAt(q));
   };
   if (items_count < p) {
     // Finding the rarest item costs items_count probes, so it pays only
     // when that is below the p-row walk.
     uint32_t rarest = 0;
     uint32_t rarest_support = UINT32_MAX;
-    items.ForEach([&](size_t item) {
-      if (item_support_[item] < rarest_support) {
-        rarest_support = item_support_[item];
-        // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
-        rarest = static_cast<uint32_t>(item);
+    items.ForEach([&](size_t c) {
+      if (item_support_[c] < rarest_support) {
+        rarest_support = item_support_[c];
+        // NOLINT(cast: ForEach yields bit positions < num_columns, a uint32)
+        rarest = static_cast<uint32_t>(c);
       }
     });
     if (row_words_ + rarest_support < p) {
-      const Bitset& rows = data_.item_rows(rarest);
+      const Bitset& rows = index_.column(rarest);
       for (size_t r = rows.FindFirst(); r < rows.size();
            r = rows.FindNext(r)) {
         const uint32_t q = position_of_[r];
@@ -492,7 +497,7 @@ void TopkSearch::Descend(const RowSet& items, Frame* frame, size_t i) {
   const uint32_t child_count = frame->live_freq[i];
   // IntersectAdaptiveInto refills the frame's id array or bitmap in place.
   RowSet& child_items = frame->child_items;
-  items.IntersectAdaptiveInto(data_.row_bitset(order_[p]), &child_items);
+  items.IntersectAdaptiveInto(RowAt(p), &child_items);
   // Step 7, run before the child is visited: a skipped earlier row
   // containing I(X ∪ {p}) means the child duplicates an earlier branch
   // (X' != R(I(X')) there and at every descendant), so nothing in it may
@@ -525,7 +530,7 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
     timed_out_ = true;
     return;
   }
-  std::vector<uint32_t> cand(data_.num_rows() - opt_.begin_pos);
+  std::vector<uint32_t> cand(index_.num_rows() - opt_.begin_pos);
   std::iota(cand.begin(), cand.end(), opt_.begin_pos);
 
   uint32_t rp = 0;
@@ -579,33 +584,33 @@ void TopkSearch::MineRoot(const RowSet& items, uint32_t items_count) {
   }
 }
 
-void TopkSearch::Finalize(const Bitset& frequent_items, TopkResult* result) {
+void TopkSearch::Finalize(TopkResult* result) {
   // Close every seed still listed: its antecedent is I(R) over the
   // frequent items, the antecedent the search emits for the same support
-  // set R. Read from the postings, that is the frequent items whose rows
-  // hold R.
+  // set R. Read from the postings, that is the items of the columns whose
+  // rows hold R.
   for (const std::weak_ptr<RuleGroup>& weak : seeds_) {
     const std::shared_ptr<RuleGroup> seed = weak.lock();
     if (seed == nullptr) continue;  // evicted from every list
-    seed->antecedent = Bitset(data_.num_items());
-    frequent_items.ForEach([&](size_t item_index) {
-      // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
-      const ItemId item = static_cast<ItemId>(item_index);
-      if (seed->row_support.IsSubsetOf(data_.item_rows(item))) {
-        seed->antecedent.Set(item);
+    seed->antecedent = Bitset(index_.universe());
+    for (uint32_t c = 0; c < index_.num_columns(); ++c) {
+      if (seed->row_support.IsSubsetOf(index_.column(c))) {
+        seed->antecedent.Set(index_.item_id(c));
       }
-    });
+    }
   }
-  result->per_row.assign(data_.num_rows(), {});
+  result->per_row.assign(index_.num_rows(), {});
   for (uint32_t pos : positive_positions_) {
     std::vector<RuleGroupPtr>& out = result->per_row[order_[pos]];
     lists_.Export(pos, &out);
+    // Every exported antecedent spans the item universe: a seed left
+    // unclosed, or a group left in column ids, would not.
     TKRGS_DCHECK(std::all_of(out.begin(), out.end(),
                              [&](const RuleGroupPtr& group) {
                                return group->antecedent.size() ==
-                                      data_.num_items();
+                                      index_.universe();
                              }),
-                 "exporting an unclosed seed");
+                 "exporting an antecedent outside the item universe");
   }
   result->effective_min_support =
       opt_.dynamic_min_support
@@ -617,63 +622,64 @@ TopkResult TopkSearch::Run() {
   Stopwatch timer;
   const Status options_status = opt_.Validate();
   TOPKRGS_CHECK(options_status.ok(), options_status.message().c_str());
-  TOPKRGS_CHECK(opt_.begin_pos <= data_.num_rows(),
-                "shard scope begins past the last row");
+  const uint32_t n = index_.num_rows();
+  TOPKRGS_CHECK(opt_.begin_pos <= n, "shard scope begins past the last row");
   initial_minsup_ = std::max<uint32_t>(1, opt_.min_support);
   minsup_ = initial_minsup_;
 
-  const Bitset frequent = FrequentItems(data_, consequent_, initial_minsup_);
-  switch (opt_.row_order) {
-    case TopkMinerOptions::RowOrder::kClassDominantWeighted:
-      order_ = ClassDominantOrder(data_, consequent_, frequent);
-      break;
-    case TopkMinerOptions::RowOrder::kClassDominant:
-      // Empty weight set keeps rows in original order within each class.
-      order_.clear();
-      for (RowId r = 0; r < data_.num_rows(); ++r) {
-        if (data_.label(r) == consequent_) order_.push_back(r);
-      }
-      for (RowId r = 0; r < data_.num_rows(); ++r) {
-        if (data_.label(r) != consequent_) order_.push_back(r);
-      }
-      break;
-    case TopkMinerOptions::RowOrder::kNatural:
-      order_.resize(data_.num_rows());
-      for (RowId r = 0; r < data_.num_rows(); ++r) order_[r] = r;
-      break;
+  // ORD (Definition 3.1): consequent-class rows first, stable within each
+  // class. The paper's refinement (§4.1.2) sorts each class by ascending
+  // frequent-item count, which is a row's column count here.
+  std::vector<uint32_t> weight(n, 0);
+  if (opt_.row_order == TopkMinerOptions::RowOrder::kClassDominantWeighted) {
+    for (RowId r = 0; r < n; ++r) {
+      // NOLINT(cast: Count() <= num_columns, a uint32)
+      weight[r] = static_cast<uint32_t>(index_.row(r).Count());
+    }
   }
-  position_of_.assign(data_.num_rows(), 0);
-  pos_positive_.assign(data_.num_rows(), 0);
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0u);
+  if (opt_.row_order != TopkMinerOptions::RowOrder::kNatural) {
+    std::stable_sort(order_.begin(), order_.end(), [&](RowId a, RowId b) {
+      const bool a_pos = index_.label(a) == consequent_;
+      const bool b_pos = index_.label(b) == consequent_;
+      if (a_pos != b_pos) return a_pos;
+      return weight[a] < weight[b];
+    });
+  }
+  position_of_.assign(n, 0);
+  pos_positive_.assign(n, 0);
   positive_positions_.clear();
-  for (uint32_t pos = 0; pos < order_.size(); ++pos) {
+  for (uint32_t pos = 0; pos < n; ++pos) {
     position_of_[order_[pos]] = pos;
-    pos_positive_[pos] = data_.label(order_[pos]) == consequent_ ? 1 : 0;
+    pos_positive_[pos] = index_.label(order_[pos]) == consequent_ ? 1 : 0;
     if (pos_positive_[pos] != 0 && pos >= opt_.begin_pos) {
       positive_positions_.push_back(pos);
     }
   }
-  item_support_.resize(data_.num_items());
-  for (ItemId item = 0; item < data_.num_items(); ++item) {
-    item_support_[item] = data_.ItemSupport(item);
+  const uint32_t columns = index_.num_columns();
+  item_support_.resize(columns);
+  for (uint32_t c = 0; c < columns; ++c) {
+    // NOLINT(cast: Count() <= num_rows, a uint32)
+    item_support_[c] = static_cast<uint32_t>(index_.column(c).Count());
   }
-  item_words_ = (data_.num_items() + 63) / 64;
-  row_words_ = (data_.num_rows() + 63) / 64;
-  in_x_.assign(data_.num_rows(), 0);
-  lists_ = TopkLists(data_.num_rows(), opt_.k);
+  item_words_ = (index_.universe() + 63) / 64;
+  row_words_ = (n + 63) / 64;
+  in_x_.assign(n, 0);
+  lists_ = TopkLists(n, opt_.k);
 
-  if (opt_.seed_single_items) SeedSingleItems(frequent);
+  if (opt_.seed_single_items) SeedSingleItems();
 
-  const uint32_t items_count = static_cast<uint32_t>(frequent.Count());
-  if (items_count > 0 && !positive_positions_.empty()) {
-    // The root item set is (near-)dense by construction; descendants
-    // re-decide their representation per node as I(X) shrinks.
-    const RowSet root_items = RowSet::FromBitset(frequent);
-    MineRoot(root_items, items_count);
+  if (columns > 0 && !positive_positions_.empty()) {
+    // The root item set is every column, dense by construction;
+    // descendants re-decide their representation per node as I(X) shrinks.
+    const RowSet root_items = RowSet::FromBitset(Bitset::AllSet(columns));
+    MineRoot(root_items, columns);
   }
   frames_.clear();  // free the search scratch before the result is built
 
   TopkResult result;
-  Finalize(frequent, &result);
+  Finalize(&result);
   stats_.timed_out = timed_out_;
   stats_.seconds = timer.ElapsedSeconds();
   result.stats = stats_;
@@ -821,9 +827,67 @@ std::vector<RuleGroupPtr> TopkResult::GroupsAtRank(uint32_t j,
   return DedupByRowSupport(candidates, hash_salt);
 }
 
+FrequentItemIndex::FrequentItemIndex(const DiscreteDataset& data,
+                                     const Bitset& frequent)
+    : universe_(data.num_items()), labels_(data.num_rows()) {
+  for (RowId r = 0; r < data.num_rows(); ++r) labels_[r] = data.label(r);
+  frequent.ForEach([&](size_t item) {
+    // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
+    item_ids_.push_back(static_cast<ItemId>(item));
+    columns_.push_back(&data.item_rows(item_ids_.back()));
+  });
+  if (item_ids_.size() < universe_) {
+    TransposeColumns();
+    return;
+  }
+  // Every item is frequent: the dataset's rows are already the columns'.
+  rows_.resize(data.num_rows());
+  for (RowId r = 0; r < data.num_rows(); ++r) rows_[r] = &data.row_bitset(r);
+}
+
+FrequentItemIndex::FrequentItemIndex(uint32_t universe,
+                                     std::vector<ItemId> item_ids,
+                                     std::vector<Bitset> column_rows,
+                                     std::vector<ClassLabel> labels)
+    : universe_(universe),
+      item_ids_(std::move(item_ids)),
+      labels_(std::move(labels)),
+      owned_columns_(std::move(column_rows)) {
+  TOPKRGS_CHECK(owned_columns_.size() == item_ids_.size(),
+                "one row bitset per column");
+  for (const Bitset& rows : owned_columns_) columns_.push_back(&rows);
+  TransposeColumns();
+}
+
+void FrequentItemIndex::TransposeColumns() {
+  owned_rows_.assign(labels_.size(), Bitset(item_ids_.size()));
+  for (uint32_t c = 0; c < columns_.size(); ++c) {
+    columns_[c]->ForEach([&](size_t row) { owned_rows_[row].Set(c); });
+  }
+  rows_.resize(owned_rows_.size());
+  for (size_t r = 0; r < owned_rows_.size(); ++r) rows_[r] = &owned_rows_[r];
+}
+
+Bitset FrequentItemIndex::Lift(const RowSet& columns) const {
+  Bitset items(universe_);
+  columns.ForEach([&](size_t c) { items.Set(item_ids_[c]); });
+  return items;
+}
+
 TopkResult MineTopkRGS(const DiscreteDataset& data, ClassLabel consequent,
                        const TopkMinerOptions& options) {
-  TopkSearch search(data, consequent, options);
+  Stopwatch timer;
+  const FrequentItemIndex index(
+      data, FrequentItems(data, consequent,
+                          std::max<uint32_t>(1, options.min_support)));
+  TopkResult result = MineTopkRGS(index, consequent, options);
+  result.stats.seconds = timer.ElapsedSeconds();
+  return result;
+}
+
+TopkResult MineTopkRGS(const FrequentItemIndex& index, ClassLabel consequent,
+                       const TopkMinerOptions& options) {
+  TopkSearch search(index, consequent, options);
   return search.Run();
 }
 

@@ -86,7 +86,10 @@ struct TopkMinerOptions {
 ///    bumping a per-row counter, and a second walk to reset it — twice the
 ///    items' total support plus their row-bitmap words.
 /// Returns true when the postings walk is strictly cheaper. Both methods
-/// count exactly, so the choice moves speed only, never output. The answer
+/// count exactly, so the choice moves speed only, never output. The search
+/// passes `items_sparse` and `item_words` at the full item-universe width,
+/// although its rows span only the frequent columns: the choices, and so
+/// the postings_scans counter, stay those of a full-width search. The answer
 /// is monotone in `support_sum`: a caller may first ask with 0 (a lower
 /// bound on the postings cost) and total the supports only when that
 /// answer is true.
@@ -98,6 +101,64 @@ inline bool CountFreqFromPostings(uint64_t candidates, uint64_t items,
   const uint64_t postings = 2 * (support_sum + items * row_words);
   return postings < per_candidate;
 }
+
+/// MineTopkRGS's view of a dataset in the frequent-item universe
+/// (DESIGN.md §3). The search only ever intersects I(X) ⊆ the items that
+/// are frequent in the consequent class, so it reads each row as a bitset
+/// over those columns alone. Column c is original item item_id(c), and
+/// columns ascend in item id. Item ids go back to the full universe
+/// (Lift) only where a group leaves the search.
+class FrequentItemIndex {
+ public:
+  /// The projection of `data` onto `frequent`, a bitset over its item
+  /// universe. Borrows `data`'s per-item row bitsets, and its per-row item
+  /// bitsets too when every item is frequent, so `data` must outlive the
+  /// index.
+  FrequentItemIndex(const DiscreteDataset& data, const Bitset& frequent);
+
+  /// An index that owns its columns: `column_rows[c]` holds the rows (a
+  /// bitset over the labels' rows) of item `item_ids[c]`, an ascending id
+  /// below `universe`.
+  FrequentItemIndex(uint32_t universe, std::vector<ItemId> item_ids,
+                    std::vector<Bitset> column_rows,
+                    std::vector<ClassLabel> labels);
+
+  // The row and column pointers point into heap buffers that a move
+  // carries along, and a copy would not.
+  FrequentItemIndex(FrequentItemIndex&&) = default;
+  FrequentItemIndex& operator=(FrequentItemIndex&&) = default;
+  FrequentItemIndex(const FrequentItemIndex&) = delete;
+  FrequentItemIndex& operator=(const FrequentItemIndex&) = delete;
+
+  // NOLINT(cast: the in-memory row space is uint32 by contract)
+  uint32_t num_rows() const { return static_cast<uint32_t>(labels_.size()); }
+  // NOLINT(cast: at most one column per item, and items <= 2^20)
+  uint32_t num_columns() const { return static_cast<uint32_t>(item_ids_.size()); }
+  /// Width of the original item universe.
+  uint32_t universe() const { return universe_; }
+  ItemId item_id(uint32_t column) const { return item_ids_[column]; }
+  ClassLabel label(RowId row) const { return labels_[row]; }
+  /// The columns `row` holds, as a bitset over num_columns().
+  const Bitset& row(RowId row) const { return *rows_[row]; }
+  /// The rows holding `column`, as a bitset over num_rows().
+  const Bitset& column(uint32_t column) const { return *columns_[column]; }
+
+  /// `columns`, a set over num_columns(), as its items: a bitset over the
+  /// full item universe.
+  Bitset Lift(const RowSet& columns) const;
+
+ private:
+  /// Fills owned_rows_ from the columns and points rows_ at them.
+  void TransposeColumns();
+
+  uint32_t universe_ = 0;
+  std::vector<ItemId> item_ids_;
+  std::vector<ClassLabel> labels_;
+  std::vector<Bitset> owned_rows_;     // empty when rows_ are borrowed
+  std::vector<Bitset> owned_columns_;  // empty when columns_ are borrowed
+  std::vector<const Bitset*> rows_;
+  std::vector<const Bitset*> columns_;
+};
 
 /// A discovered rule group shared between the rows it covers.
 using RuleGroupPtr = std::shared_ptr<const RuleGroup>;
@@ -139,8 +200,15 @@ struct TopkResult {
 };
 
 /// Mines the top-k covering rule groups for every row of `data` whose class
-/// is `consequent` (algorithm MineTopkRGS, Figure 3).
+/// is `consequent` (algorithm MineTopkRGS, Figure 3). Step 1 finds the
+/// frequent items, and the search runs over their FrequentItemIndex.
 TopkResult MineTopkRGS(const DiscreteDataset& data, ClassLabel consequent,
+                       const TopkMinerOptions& options);
+
+/// The same search over a prepared index. Its columns must be exactly the
+/// items whose support within the `consequent` class reaches
+/// max(1, options.min_support), as FrequentItems computes them.
+TopkResult MineTopkRGS(const FrequentItemIndex& index, ClassLabel consequent,
                        const TopkMinerOptions& options);
 
 }  // namespace topkrgs

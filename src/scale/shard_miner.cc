@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "util/bitset.h"
 #include "util/check.h"
 
 namespace topkrgs {
@@ -30,7 +31,26 @@ DiscreteDataset BuildSuffixDataset(const TransposedView& view,
   return DiscreteDataset(view.num_items, std::move(rows), std::move(labels));
 }
 
-ShardResult MineShard(const DiscreteDataset& data, const ShardPlan& plan,
+FrequentItemIndex ProjectPlanItems(const TransposedView& view,
+                                   const ShardPlan& plan) {
+  std::vector<ItemId> item_ids;
+  std::vector<Bitset> column_rows;
+  plan.frequent.ForEach([&](size_t bit) {
+    // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
+    const ItemId item = static_cast<ItemId>(bit);
+    Bitset rows(view.num_rows);
+    const uint32_t* ids = view.rows_of(item);
+    const size_t count = view.rows_count(item);
+    for (size_t i = 0; i < count; ++i) rows.Set(ids[i]);
+    item_ids.push_back(item);
+    column_rows.push_back(std::move(rows));
+  });
+  return FrequentItemIndex(
+      view.num_items, std::move(item_ids), std::move(column_rows),
+      std::vector<ClassLabel>(view.labels, view.labels + view.num_rows));
+}
+
+ShardResult MineShard(const FrequentItemIndex& index, const ShardPlan& plan,
                       uint32_t shard_index, const ShardMineOptions& options) {
   const ShardRange& range = plan.shards[shard_index];
   // The planner starts no shard past the earliest root-absorbed row, so no
@@ -46,7 +66,7 @@ ShardResult MineShard(const DiscreteDataset& data, const ShardPlan& plan,
   mine_options.begin_pos = range.begin_pos;
   mine_options.first_level_end = range.first_level_end;
 
-  TopkResult mined = MineTopkRGS(data, plan.consequent, mine_options);
+  TopkResult mined = MineTopkRGS(index, plan.consequent, mine_options);
   ShardResult result;
   result.shard_index = shard_index;
   result.per_pos.resize(plan.positives - range.begin_pos);
@@ -58,9 +78,15 @@ ShardResult MineShard(const DiscreteDataset& data, const ShardPlan& plan,
   return result;
 }
 
+ShardResult MineShard(const DiscreteDataset& data, const ShardPlan& plan,
+                      uint32_t shard_index, const ShardMineOptions& options) {
+  return MineShard(FrequentItemIndex(data, plan.frequent), plan, shard_index,
+                   options);
+}
+
 ShardResult MineShard(const TransposedView& view, const ShardPlan& plan,
                       uint32_t shard_index, const ShardMineOptions& options) {
-  return MineShard(MaterializeDataset(view), plan, shard_index, options);
+  return MineShard(ProjectPlanItems(view, plan), plan, shard_index, options);
 }
 
 }  // namespace topkrgs

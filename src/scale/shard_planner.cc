@@ -15,24 +15,26 @@ namespace {
 uint64_t BitsetBytes(uint64_t universe) { return ((universe + 63) / 64) * 8; }
 
 /// Peak-memory model for the sharded run (documented in DESIGN.md §14):
-/// the CSR table, the one dense dataset every shard mines with its row
-/// and item indexes, and the result lists.
+/// the CSR table, the index of the `frequent` items every shard mines
+/// (per-row bitsets over the frequent columns, per-column row bitsets)
+/// and the result lists, whose antecedents span the whole item universe.
 ///
 /// Checked throughout: every factor except `k` is bounded by the view's
 /// validated shape (items <= kMaxItemUniverse, nnz <= rows × items), but
 /// `k` is raw CLI input, and a wrapped estimate that lands back under the
 /// budget would wave through a run planned to blow it. An overflowing
 /// model means the plan is unrepresentable — surface that as the error.
-StatusOr<uint64_t> EstimatePeakBytes(const TransposedView& view, uint32_t np,
+StatusOr<uint64_t> EstimatePeakBytes(const TransposedView& view,
+                                     uint32_t frequent, uint32_t np,
                                      uint32_t k) {
   const uint64_t rows = view.num_rows;
   const uint64_t items = view.num_items;
   const char* what = "sharded peak-memory estimate";
   const uint64_t csr = view.nnz() * sizeof(uint32_t) +
                        (items + 1) * sizeof(uint64_t) + rows;
-  const uint64_t dataset = rows * BitsetBytes(items)   // row bitsets
-                           + items * BitsetBytes(rows)  // item rowsets
-                           + view.nnz() * sizeof(ItemId) + rows * 32;
+  const uint64_t index = rows * BitsetBytes(frequent)     // row bitsets
+                         + frequent * BitsetBytes(rows)   // column rowsets
+                         + rows * 32;                     // per-row headers
   // Result lists: np rows × k shared handles plus a generous allowance for
   // distinct groups (each an item bitset + a row bitset).
   auto np_k = CheckedMul<uint64_t>(np, k, what);
@@ -43,8 +45,7 @@ StatusOr<uint64_t> EstimatePeakBytes(const TransposedView& view, uint32_t np,
       handles.value(), 4096 * (BitsetBytes(items) + BitsetBytes(rows) + 64),
       what);
   if (!results.ok()) return results.status();
-  auto total = CheckedAdd<uint64_t>(csr + dataset, results.value(),
-                                    what);
+  auto total = CheckedAdd<uint64_t>(csr + index, results.value(), what);
   if (!total.ok()) return total.status();
   return total.value();
 }
@@ -130,7 +131,8 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
     }
   }
 
-  auto peak_or = EstimatePeakBytes(view, plan.positives, options.k);
+  auto peak_or =
+      EstimatePeakBytes(view, frequent_count, plan.positives, options.k);
   if (!peak_or.ok()) return peak_or.status();
   const uint64_t peak = peak_or.value();
   plan.estimated_peak_bytes = peak;
@@ -139,7 +141,7 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
         "memory budget " + std::to_string(options.memory_budget_bytes) +
         " bytes is below the irreducible sharded working set (~" +
         std::to_string(peak) +
-        " bytes: CSR table + dense dataset indexes + result lists); raise "
+        " bytes: CSR table + frequent-item index + result lists); raise "
         "--memory-budget");
   }
 

@@ -20,8 +20,8 @@ struct ShardPlanOptions {
   /// Peak-RSS target for the whole sharded mining run. The planner sizes
   /// each shard's OWNED range so its result lists stay within a fraction
   /// of it, and rejects the run up front (InvalidArgument) when even the
-  /// irreducible working set — the CSR table plus the one dense dataset
-  /// every shard mines — cannot fit. 0 = unlimited.
+  /// irreducible working set — the CSR table plus the index of the
+  /// frequent items every shard mines — cannot fit. 0 = unlimited.
   uint64_t memory_budget_bytes = 0;
   /// Explicit shard count; 0 = derive from the budget (1 when unlimited).
   uint32_t shard_count = 0;

@@ -114,8 +114,10 @@ class StreamReader {
 
 /// Materializes a DiscreteDataset (dense row bitsets + item rowsets) from
 /// a transposed view, preserving original row order. This is the bridge to
-/// the in-memory miner — callers opt into the O(rows × items / 8) bitset
-/// cost explicitly; MineShardedTopkRGS does this once per run.
+/// the in-memory pipeline — callers opt into the O(rows × items / 8)
+/// bitset cost explicitly. The sharded miner does not call it: it mines
+/// the frequent items' index, projected straight from the postings
+/// (ProjectPlanItems).
 DiscreteDataset MaterializeDataset(const TransposedView& view);
 
 }  // namespace topkrgs

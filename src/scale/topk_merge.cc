@@ -79,10 +79,11 @@ StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,
   std::vector<ShardResult> results;
   results.reserve(plan.shards.size());
   if (!plan.shards.empty()) {
-    // Every shard mines the same dataset, scoped to its range of positions.
-    const DiscreteDataset data = MaterializeDataset(view);
+    // Every shard mines the same index of the plan's frequent items,
+    // scoped to its range of positions.
+    const FrequentItemIndex index = ProjectPlanItems(view, plan);
     for (uint32_t p = 0; p < plan.shards.size(); ++p) {
-      ShardResult result = MineShard(data, plan, p, mine_options);
+      ShardResult result = MineShard(index, plan, p, mine_options);
       aggregate.Add(result.stats);
       results.push_back(std::move(result));
     }

@@ -46,8 +46,9 @@ MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,
 uint64_t TopkDigest(const std::vector<std::vector<RuleGroupPtr>>& per_row,
                     uint32_t effective_min_support);
 
-/// End-to-end sharded mining: plan, materialize the dataset once, mine
-/// each shard on it sequentially, merge. On success `plan_out`
+/// End-to-end sharded mining: plan, project the plan's frequent items from
+/// the postings once (ProjectPlanItems), mine each shard on that index
+/// sequentially, merge. On success `plan_out`
 /// (when non-null) receives the executed plan for reporting. Fails only
 /// on planning errors (bad consequent, infeasible memory budget).
 StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,

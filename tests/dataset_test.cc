@@ -80,18 +80,6 @@ TEST(DiscreteDatasetTest, IndexesAreConsistent) {
   }
 }
 
-TEST(DiscreteDatasetTest, FilterInfrequentItems) {
-  DiscreteDataset d = MakeRunningExampleDataset();
-  std::vector<ItemId> kept;
-  // Items with support >= 3 over all rows: c (4), d(3), e(4), f(3), g(3).
-  DiscreteDataset f = d.FilterInfrequentItems(3, &kept);
-  EXPECT_EQ(f.num_items(), 5u);
-  EXPECT_EQ(kept, (std::vector<ItemId>{I('c'), I('d'), I('e'), I('f'), I('g')}));
-  EXPECT_EQ(f.num_rows(), 5u);
-  // Row r2 = {a,b,c,o,p} keeps only c.
-  EXPECT_EQ(f.row_items(1).size(), 1u);
-}
-
 TEST(DiscreteDatasetTest, SelectRows) {
   DiscreteDataset d = MakeRunningExampleDataset();
   DiscreteDataset s = d.SelectRows({4, 0});

@@ -194,23 +194,5 @@ TEST(SortRulesTest, OutputIsSortedByPrecedence) {
   }
 }
 
-TEST(RandomDatasetTest, FilterThenIndexesStayConsistent) {
-  for (uint64_t seed = 0; seed < 6; ++seed) {
-    DiscreteDataset d = RandomDataset(seed + 900, 12, 14, 0.35);
-    std::vector<ItemId> kept;
-    DiscreteDataset f = d.FilterInfrequentItems(3, &kept);
-    for (ItemId new_id = 0; new_id < f.num_items(); ++new_id) {
-      // Remapped supports match the original item's.
-      ASSERT_EQ(f.ItemSupport(new_id), d.ItemSupport(kept[new_id]));
-      ASSERT_GE(f.ItemSupport(new_id), 3u);
-    }
-    for (RowId r = 0; r < f.num_rows(); ++r) {
-      for (ItemId item : f.row_items(r)) {
-        ASSERT_TRUE(d.row_bitset(r).Test(kept[item]));
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace topkrgs

@@ -496,6 +496,85 @@ TEST(ShardMergeTest, MineShardFromViewMatchesMaterializedDataset) {
   EXPECT_GT(groups, 0u);
 }
 
+TEST(ShardMergeTest, PlanIndexIsTheDatasetProjection) {
+  const PlannedView planned = PlanRandomView(8, 3);
+  const TransposedView view = planned.table.View();
+  const ShardPlan& plan = planned.plan;
+  const DiscreteDataset full = MaterializeDataset(view);
+  const FrequentItemIndex from_postings = ProjectPlanItems(view, plan);
+  const FrequentItemIndex from_dataset(full, plan.frequent);
+  ASSERT_GT(from_postings.num_columns(), 0u);
+  ASSERT_LT(from_postings.num_columns(), view.num_items);
+  EXPECT_EQ(from_postings.universe(), view.num_items);
+  ASSERT_EQ(from_postings.num_columns(), from_dataset.num_columns());
+  ASSERT_EQ(from_postings.num_rows(), from_dataset.num_rows());
+  for (uint32_t c = 0; c < from_postings.num_columns(); ++c) {
+    EXPECT_EQ(from_postings.item_id(c), from_dataset.item_id(c));
+    EXPECT_EQ(from_postings.column(c), from_dataset.column(c));
+  }
+  for (RowId r = 0; r < from_postings.num_rows(); ++r) {
+    EXPECT_EQ(from_postings.label(r), from_dataset.label(r));
+    EXPECT_EQ(from_postings.row(r), from_dataset.row(r));
+  }
+}
+
+/// ROADMAP's metamorphic property for the sharded path: columns that are
+/// infrequent in the consequent class change no group, at any shard
+/// count. The wider table's merged lists equal single-shot mining of the
+/// original dataset, each antecedent lifted into the wider universe.
+TEST(ShardMergeTest, InfrequentColumnsChangeNothing) {
+  constexpr ClassLabel kConsequent = 1;
+  constexpr uint32_t kK = 3;
+  constexpr uint32_t kMinsup = 2;
+  const DiscreteDataset data = testing_util::RandomDataset(12, 24, 30, 0.4);
+  std::vector<ItemId> lift;
+  const DiscreteDataset wide = testing_util::WithInfrequentColumns(
+      data, kConsequent, kMinsup, 50, 12, &lift);
+  TopkMinerOptions opt;
+  opt.k = kK;
+  opt.min_support = kMinsup;
+  const TopkResult oracle = MineTopkRGS(data, kConsequent, opt);
+  const StreamedTable table = TableFromDataset(wide);
+  for (const uint32_t shards : {1u, 3u}) {
+    ShardPlanOptions plan_opt;
+    plan_opt.k = kK;
+    plan_opt.min_support = kMinsup;
+    plan_opt.shard_count = shards;
+    ShardPlan plan;
+    auto merged_or = MineShardedTopkRGS(table.View(), kConsequent, plan_opt,
+                                        ShardMineOptions(), &plan);
+    ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
+    const MergedTopk& merged = merged_or.value();
+    const std::string context = "shards=" + std::to_string(shards);
+    EXPECT_EQ(plan.shards.size(), shards) << context;
+    EXPECT_EQ(plan.frequent.Count(),
+              FrequentItems(data, kConsequent, kMinsup).Count())
+        << context;
+    EXPECT_EQ(merged.effective_min_support, oracle.effective_min_support)
+        << context;
+    ASSERT_EQ(merged.per_row.size(), oracle.per_row.size()) << context;
+    size_t groups = 0;
+    for (RowId r = 0; r < data.num_rows(); ++r) {
+      const auto& la = oracle.per_row[r];
+      const auto& lb = merged.per_row[r];
+      ASSERT_EQ(la.size(), lb.size()) << context << " row " << r;
+      for (size_t i = 0; i < la.size(); ++i) {
+        EXPECT_EQ(la[i]->support, lb[i]->support) << context << " row " << r;
+        EXPECT_EQ(la[i]->antecedent_support, lb[i]->antecedent_support)
+            << context << " row " << r;
+        EXPECT_EQ(la[i]->row_support, lb[i]->row_support)
+            << context << " row " << r;
+        EXPECT_EQ(testing_util::LiftItems(la[i]->antecedent, lift,
+                                          wide.num_items()),
+                  lb[i]->antecedent)
+            << context << " row " << r << " rank " << i;
+      }
+      groups += la.size();
+    }
+    EXPECT_GT(groups, 0u);
+  }
+}
+
 /// Reduced profile end-to-end — minutes-scale work, so tier-1 skips it;
 /// set TOPKRGS_SLOW_TESTS=1 (the ci.sh scale stage does) to run.
 TEST(ShardMergeSlowTest, ReducedProfileAcrossShardCounts) {

@@ -6,6 +6,7 @@
 
 #include "core/dataset.h"
 #include "core/rule.h"
+#include "util/bitset.h"
 #include "util/random.h"
 
 namespace topkrgs {
@@ -58,6 +59,56 @@ inline DiscreteDataset WideSparseDataset(uint64_t seed, uint32_t num_rows,
     labels[1] = 0;
   }
   return DiscreteDataset(num_items, std::move(rows), std::move(labels));
+}
+
+/// `data` with `extra` columns inserted among its items, each infrequent in
+/// class `cls` at `min_support`: it holds fewer than `min_support` rows of
+/// that class and about half of the other rows. `lift` receives the id of
+/// each original item in the wider universe.
+inline DiscreteDataset WithInfrequentColumns(const DiscreteDataset& data,
+                                             ClassLabel cls,
+                                             uint32_t min_support,
+                                             uint32_t extra, uint64_t seed,
+                                             std::vector<ItemId>* lift) {
+  const uint32_t universe = data.num_items() + extra;
+  std::vector<bool> inserted(universe, false);
+  for (uint32_t j = 0; j < extra; ++j) {
+    inserted[static_cast<uint64_t>(j) * universe / extra] = true;
+  }
+  lift->clear();
+  std::vector<ItemId> extra_ids;
+  for (ItemId id = 0; id < universe; ++id) {
+    (inserted[id] ? extra_ids : *lift).push_back(id);
+  }
+  Rng rng(seed);
+  std::vector<std::vector<ItemId>> rows(data.num_rows());
+  std::vector<ClassLabel> labels(data.num_rows());
+  for (RowId r = 0; r < data.num_rows(); ++r) {
+    for (ItemId item : data.row_items(r)) rows[r].push_back((*lift)[item]);
+    labels[r] = data.label(r);
+  }
+  for (ItemId id : extra_ids) {
+    uint32_t in_class = 0;
+    for (RowId r = 0; r < data.num_rows(); ++r) {
+      if (labels[r] == cls) {
+        if (in_class + 1 >= min_support || !rng.NextBool(0.3)) continue;
+        ++in_class;
+      } else if (!rng.NextBool(0.5)) {
+        continue;
+      }
+      rows[r].push_back(id);
+    }
+  }
+  return DiscreteDataset(universe, std::move(rows), std::move(labels));
+}
+
+/// `items` (a bitset over the original universe) in the wider universe of
+/// WithInfrequentColumns.
+inline Bitset LiftItems(const Bitset& items, const std::vector<ItemId>& lift,
+                        uint32_t universe) {
+  Bitset out(universe);
+  items.ForEach([&](size_t item) { out.Set(lift[item]); });
+  return out;
 }
 
 /// Canonical form of a rule-group set for equality checks: sorted

@@ -2,18 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mine/miner_common.h"
 #include "mine/naive_miner.h"
 #include "scale/topk_merge.h"
 #include "test_util.h"
+#include "util/bitset.h"
+#include "util/rowset.h"
 
 namespace topkrgs {
 namespace {
 
+using testing_util::LiftItems;
 using testing_util::RandomDataset;
 using testing_util::SignificanceSeq;
 using testing_util::SignificanceSeqValues;
 using testing_util::WideSparseDataset;
+using testing_util::WithInfrequentColumns;
 
 Bitset NamedItems(const DiscreteDataset& d, const std::string& names) {
   Bitset b(d.num_items());
@@ -482,6 +489,139 @@ TEST(TopkMinerOptionsTest, ShardScopeRequiresTheDefaultRowOrder) {
     EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
     options.first_level_end = UINT32_MAX;
     EXPECT_TRUE(options.Validate().ok());
+  }
+}
+
+TEST(FrequentItemIndexTest, ColumnsAndRowsMapToOriginalItems) {
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    const DiscreteDataset d = RandomDataset(seed + 900, 12, 14, 0.35);
+    const Bitset frequent = FrequentItems(d, 1, 3);
+    const FrequentItemIndex index(d, frequent);
+    ASSERT_EQ(index.universe(), d.num_items());
+    ASSERT_EQ(index.num_rows(), d.num_rows());
+    ASSERT_EQ(index.num_columns(), frequent.Count());
+    for (uint32_t c = 0; c < index.num_columns(); ++c) {
+      const ItemId item = index.item_id(c);
+      ASSERT_TRUE(frequent.Test(item)) << "seed=" << seed << " column=" << c;
+      if (c > 0) {
+        ASSERT_LT(index.item_id(c - 1), item);
+      }
+      // Each column's rows are the rows of its original item.
+      ASSERT_EQ(index.column(c), d.item_rows(item));
+    }
+    for (RowId r = 0; r < d.num_rows(); ++r) {
+      ASSERT_EQ(index.label(r), d.label(r));
+      // Each row bit maps to an original item of that row, and the row
+      // holds a column for each of its frequent items.
+      ASSERT_EQ(index.row(r).size(), index.num_columns());
+      index.row(r).ForEach([&](size_t c) {
+        ASSERT_TRUE(d.row_bitset(r).Test(index.item_id(c)))
+            << "seed=" << seed << " row=" << r << " column=" << c;
+      });
+      ASSERT_EQ(index.row(r).Count(), d.row_bitset(r).IntersectCount(frequent));
+      ASSERT_EQ(index.Lift(RowSet::FromBitset(index.row(r))),
+                [&] {
+                  Bitset items = d.row_bitset(r);
+                  items.IntersectWith(frequent);
+                  return items;
+                }());
+    }
+  }
+}
+
+TEST(FrequentItemIndexTest, EveryItemFrequentCopiesNoBitset) {
+  const DiscreteDataset d = RandomDataset(4, 10, 12, 0.5);
+  const FrequentItemIndex index(d, Bitset::AllSet(d.num_items()));
+  for (RowId r = 0; r < d.num_rows(); ++r) {
+    EXPECT_EQ(&index.row(r), &d.row_bitset(r));
+  }
+  for (uint32_t c = 0; c < index.num_columns(); ++c) {
+    EXPECT_EQ(&index.column(c), &d.item_rows(c));
+  }
+}
+
+/// Mines `data` and `wide`, `data` with columns inserted that are
+/// infrequent in `cls` at `minsup` (WithInfrequentColumns), and checks
+/// that the search saw the same thing: equal counters, and per row the
+/// same groups, each antecedent lifted into the wider universe. The Step
+/// 10 cost model reads the item-universe width, so postings_scans is
+/// compared only when both universes span the same number of words.
+void ExpectInfrequentColumnsChangeNothing(const DiscreteDataset& data,
+                                          ClassLabel cls, uint32_t k,
+                                          uint32_t minsup, uint32_t extra,
+                                          uint64_t seed) {
+  std::vector<ItemId> lift;
+  const DiscreteDataset wide =
+      WithInfrequentColumns(data, cls, minsup, extra, seed, &lift);
+  const std::string context = "items=" + std::to_string(data.num_items()) +
+                              "+" + std::to_string(extra) +
+                              " cls=" + std::to_string(cls) +
+                              " k=" + std::to_string(k) +
+                              " minsup=" + std::to_string(minsup) +
+                              " seed=" + std::to_string(seed);
+  ASSERT_EQ(LiftItems(FrequentItems(data, cls, minsup), lift, wide.num_items()),
+            FrequentItems(wide, cls, minsup))
+      << context;
+  TopkMinerOptions opt;
+  opt.k = k;
+  opt.min_support = minsup;
+  const TopkResult narrow_result = MineTopkRGS(data, cls, opt);
+  const TopkResult wide_result = MineTopkRGS(wide, cls, opt);
+
+  const MinerStats& a = narrow_result.stats;
+  const MinerStats& b = wide_result.stats;
+  ASSERT_FALSE(a.timed_out || b.timed_out) << context;
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited) << context;
+  EXPECT_EQ(a.groups_emitted, b.groups_emitted) << context;
+  EXPECT_EQ(a.pruned_backward, b.pruned_backward) << context;
+  EXPECT_EQ(a.pruned_bounds, b.pruned_bounds) << context;
+  EXPECT_EQ(a.freq_scans, b.freq_scans) << context;
+  EXPECT_EQ(a.cut_rows_scanned, b.cut_rows_scanned) << context;
+  if ((data.num_items() + 63) / 64 == (wide.num_items() + 63) / 64) {
+    EXPECT_EQ(a.postings_scans, b.postings_scans) << context;
+  }
+
+  EXPECT_EQ(narrow_result.effective_min_support,
+            wide_result.effective_min_support)
+      << context;
+  ASSERT_EQ(narrow_result.per_row.size(), wide_result.per_row.size());
+  for (RowId r = 0; r < data.num_rows(); ++r) {
+    const auto& la = narrow_result.per_row[r];
+    const auto& lb = wide_result.per_row[r];
+    ASSERT_EQ(la.size(), lb.size()) << context << " row=" << r;
+    for (size_t i = 0; i < la.size(); ++i) {
+      EXPECT_EQ(la[i]->support, lb[i]->support) << context << " row=" << r;
+      EXPECT_EQ(la[i]->antecedent_support, lb[i]->antecedent_support)
+          << context << " row=" << r;
+      EXPECT_EQ(la[i]->row_support, lb[i]->row_support)
+          << context << " row=" << r;
+      EXPECT_EQ(LiftItems(la[i]->antecedent, lift, wide.num_items()),
+                lb[i]->antecedent)
+          << context << " row=" << r << " rank=" << i;
+    }
+  }
+}
+
+TEST(TopkMinerTest, InfrequentColumnsChangeNothing) {
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
+      for (uint32_t minsup : {2u, 3u}) {
+        for (uint32_t k : {1u, 4u}) {
+          // 40 + 24 items stay within one word; 40 + 100 span three.
+          ExpectInfrequentColumnsChangeNothing(
+              RandomDataset(seed + 11, 28, 40, 0.35), cls, k, minsup, 24,
+              seed);
+          ExpectInfrequentColumnsChangeNothing(
+              RandomDataset(seed + 11, 28, 40, 0.35), cls, k, minsup, 100,
+              seed);
+          // 600 + 40 items stay within ten words, and Step 10 counts
+          // from postings at some nodes.
+          ExpectInfrequentColumnsChangeNothing(
+              WideSparseDataset(seed + 11, 24, 600), cls, k, minsup, 40,
+              seed);
+        }
+      }
+    }
   }
 }
 

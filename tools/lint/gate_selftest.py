@@ -79,6 +79,28 @@ class RssGateTest(unittest.TestCase):
         proc = run_cli("rss_gate.py", "rss_cut_fail.json")
         self.assertEqual(proc.returncode, 1)
 
+    def test_overbudget_fixtures_gate_the_peak_estimate(self):
+        failures, _, ok_lines, gated = rss_gate.evaluate(
+            load("rss_overbudget_pass.json"), "rss_overbudget_pass.json")
+        self.assertEqual(failures, [])
+        self.assertEqual(gated, 2)
+        self.assertEqual(len(ok_lines), 2)
+        # 320.8 MiB budgeted against a 47 MiB peak (6.8x), and a record
+        # with no estimate at all.
+        failures, _, ok_lines, gated = rss_gate.evaluate(
+            load("rss_overbudget_fail.json"), "rss_overbudget_fail.json")
+        self.assertEqual(gated, 2)
+        self.assertTrue(any("estimated peak 336351456 bytes > 3 x measured "
+                            "peak" in f and "(6.8x)" in f for f in failures))
+        self.assertTrue(any("missing field 'estimated_peak_bytes'" in f
+                            for f in failures))
+        self.assertEqual(len(failures), 2)
+        self.assertEqual(len(ok_lines), 2)  # the RSS rule passes on both
+        self.assertEqual(
+            run_cli("rss_gate.py", "rss_overbudget_pass.json").returncode, 0)
+        self.assertEqual(
+            run_cli("rss_gate.py", "rss_overbudget_fail.json").returncode, 1)
+
     def test_timed_out_records_make_the_gate_vacuous(self):
         failures, skipped, _, gated = rss_gate.evaluate(
             load("rss_vacuous.json"), "rss_vacuous.json")

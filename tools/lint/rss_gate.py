@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Out-of-core memory gate over the committed bench/BENCH_scale.json.
 
-The sharded mining engine promises three things the bench record makes
+The sharded mining engine promises four things the bench record makes
 checkable offline: a mine run's peak RSS stays inside the --memory-budget
 the shard planner was given (the planner sized the shards to make that
-true), the sharded result is bit-identical to the single-shot miner
-(the per-record digest matched the shard_count=1 baseline), and the
-miner's top-k admission check stays early-exit (it reads a few k-th
-entries per check, not every coverable row). This gate regresses on all
-three from the committed record, so a planner, merge or miner change
-that silently breaks the budget, the determinism contract or the
-admission check's cost fails CI even on a runner too small to rerun the
-full 100k-row profile.
+true), the planner's peak estimate is not far above the peak it
+predicts (an estimate several times the real working set would reject
+budgets the run fits in), the sharded result is bit-identical to the
+single-shot miner (the per-record digest matched the shard_count=1
+baseline), and the miner's top-k admission check stays early-exit (it
+reads a few k-th entries per check, not every coverable row). This gate
+regresses on all four from the committed record, so a planner, merge or
+miner change that silently breaks the budget, the estimate, the
+determinism contract or the admission check's cost fails CI even on a
+runner too small to rerun the full 100k-row profile.
 
 Rules:
   * every mine record must carry peak_rss_kb, memory_budget_bytes,
@@ -25,7 +27,11 @@ Rules:
     materialized_bytes (otherwise "out of core" proved nothing);
   * every completed mine record must carry cut_rows_scanned, and it must
     be <= CUT_ROWS_PER_ROW * rows (a check that rescans every coverable
-    positive row reads orders of magnitude more).
+    positive row reads orders of magnitude more);
+  * every completed mine record must carry estimated_peak_bytes (the
+    planner's ShardPlan::estimated_peak_bytes), and it must be
+    <= OVER_BUDGET_RATIO * peak_rss_kb * 1024 (a model that charges for
+    memory the run never touches over-budgets).
 
 Usage: tools/lint/rss_gate.py [path/to/BENCH_scale.json]
 """
@@ -35,6 +41,12 @@ import sys
 
 # Ceiling on admission-check row reads per dataset row in one mine run.
 CUT_ROWS_PER_ROW = 4
+
+# Ceiling on the planner's peak estimate as a multiple of the measured peak.
+# The estimate charges a fixed allowance of 4,096 result groups, so a small
+# run reads near 2x; an estimate that still charges the infrequent columns
+# reads near 7x.
+OVER_BUDGET_RATIO = 3
 
 
 def evaluate(records, path):
@@ -89,6 +101,16 @@ def evaluate(records, path):
                 "{}: cut_rows_scanned {} > {} x rows {} — the admission "
                 "check stopped exiting early".format(
                     where, cut_rows, CUT_ROWS_PER_ROW, rows))
+        estimate = rec.get("estimated_peak_bytes")
+        if estimate is None:
+            failures.append(
+                "{}: missing field 'estimated_peak_bytes'".format(where))
+        elif estimate > OVER_BUDGET_RATIO * rss_bytes:
+            failures.append(
+                "{}: estimated peak {} bytes > {} x measured peak {} bytes "
+                "({:.1f}x) — the planner over-budgets".format(
+                    where, estimate, OVER_BUDGET_RATIO, rss_bytes,
+                    estimate / rss_bytes if rss_bytes else float("inf")))
         if rss_bytes > budget:
             failures.append(
                 "{}: peak RSS {} bytes > memory budget {} bytes".format(
@@ -122,9 +144,9 @@ def main() -> int:
         for f in failures:
             print("  " + f)
         return 1
-    print("rss gate passed: {} mine records within their memory budget "
-          "and admission-check row ceiling, all digests shard-count "
-          "invariant.".format(gated))
+    print("rss gate passed: {} mine records within their memory budget, "
+          "peak-estimate ratio and admission-check row ceiling, all digests "
+          "shard-count invariant.".format(gated))
     return 0
 
 
