@@ -210,6 +210,7 @@ void TopkSearch::SeedSingleItems() {
     seed->support = static_cast<uint32_t>(rows.IntersectCount(class_rows));
     bool listed = false;
     rows.ForEach([&](size_t row) {
+      // NOLINT(cast: ForEach yields bit positions < num_rows, a RowId)
       if (index_.label(static_cast<RowId>(row)) != consequent_) return;
       listed |= lists_.Insert(position_of_[row], seed);
     });
