@@ -590,7 +590,7 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
   auto shards = flags.GetInt("shards", 0);
   if (!shards.ok()) return shards.status();
   if (shards.value() < 0) {
-    return Status::InvalidArgument("--shards must be >= 0 (0 = auto)");
+    return Status::InvalidArgument("--shards must be >= 0 (0 = one shard)");
   }
   auto budget = flags.GetDouble("budget", 30.0);
   if (!budget.ok()) return budget.status();
@@ -619,7 +619,7 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
   ShardPlan plan;
   auto merged_or = MineShardedTopkRGS(view, cls, plan_opt, mine_opt, &plan);
   if (!merged_or.ok()) return merged_or.status();
-  const MergedTopk& merged = merged_or.value();
+  const TopkResult& merged = merged_or.value();
 
   std::printf("plan: %zu shard(s) over %u positive rows (estimated working "
               "set ~%llu bytes%s)\n",
@@ -636,31 +636,21 @@ Status RunShardMineCommand(const std::vector<std::string>& args) {
                   TopkDigest(merged.per_row, merged.effective_min_support)),
               merged.stats.timed_out ? " (TIMED OUT — lists incomplete)" : "");
 
-  // Top distinct groups in per-row significance order, like topkrgs-mine.
-  size_t printed = 0;
-  std::vector<const RuleGroup*> seen;
-  for (uint32_t r = 0;
-       r < view.num_rows && printed < static_cast<size_t>(std::max<int64_t>(
-                                          0, max_print.value()));
-       ++r) {
-    for (const RuleGroupPtr& group : merged.per_row[r]) {
-      if (std::find(seen.begin(), seen.end(), group.get()) != seen.end()) {
-        continue;
-      }
-      seen.push_back(group.get());
-      std::printf("  sup %u / asup %u (conf %.3f), %zu items, covers %zu "
-                  "rows\n",
-                  group->support, group->antecedent_support,
-                  group->antecedent_support == 0
-                      ? 0.0
-                      : static_cast<double>(group->support) /
-                            group->antecedent_support,
-                  group->antecedent.Count(), group->row_support.Count());
-      if (++printed >= static_cast<size_t>(std::max<int64_t>(
-                           0, max_print.value()))) {
-        break;
-      }
-    }
+  // Distinct groups in per-row scan order, like topkrgs-mine. max(0, ·):
+  // a negative --max-print must clamp, not wrap to SIZE_MAX.
+  const std::vector<RuleGroupPtr> groups = merged.DistinctGroups();
+  const size_t limit =
+      std::min<size_t>(groups.size(), static_cast<size_t>(std::max<int64_t>(
+                                          0, max_print.value())));
+  for (size_t i = 0; i < limit; ++i) {
+    const RuleGroup& group = *groups[i];
+    std::printf("  sup %u / asup %u (conf %.3f), %zu items, covers %zu rows\n",
+                group.support, group.antecedent_support,
+                group.antecedent_support == 0
+                    ? 0.0
+                    : static_cast<double>(group.support) /
+                          group.antecedent_support,
+                group.antecedent.Count(), group.row_support.Count());
   }
   return Status::OK();
 }

@@ -72,8 +72,9 @@ namespace topkrgs {
 ///                                (default --minsup-frac 0.7)
 ///   --k N                        covering rule groups per row (default 5)
 ///   --memory-budget BYTES        working-set budget; 0 = unlimited; the
-///                                planner errors when infeasible
-///   --shards N                   shard count; 0 = auto from the budget
+///                                planner errors when its estimate is
+///                                above it (the budget sets no shard count)
+///   --shards N                   shard count (default 0 = one shard)
 ///   --budget SECONDS             wall-clock budget of the whole sharded
 ///                                mine, all shards together (default 30)
 ///   --max-print N                rule groups to print (default 10)

@@ -92,6 +92,7 @@ class DiscreteDataset {
   uint32_t num_classes() const { return num_classes_; }
 
   ClassLabel label(RowId row) const { return labels_[row]; }
+  const std::vector<ClassLabel>& labels() const { return labels_; }
   const std::vector<ItemId>& row_items(RowId row) const { return rows_[row]; }
   /// Items of `row` as a bitset over the item universe.
   const Bitset& row_bitset(RowId row) const { return row_bitsets_[row]; }

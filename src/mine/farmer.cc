@@ -190,7 +190,13 @@ MiningResult FarmerSearch::Run() {
   Stopwatch timer;
   minsup_ = std::max<uint32_t>(1, opt_.min_support);
   const Bitset frequent = FrequentItems(data_, consequent_, minsup_);
-  order_ = ClassDominantOrder(data_, consequent_, frequent);
+  std::vector<uint32_t> weights(data_.num_rows());
+  for (RowId r = 0; r < data_.num_rows(); ++r) {
+    // NOLINT(cast: IntersectCount <= num_items <= kMaxItemUniverse = 2^20)
+    weights[r] = static_cast<uint32_t>(
+        data_.row_bitset(r).IntersectCount(frequent));
+  }
+  order_ = ClassDominantOrder(data_.labels(), consequent_, weights);
   np_ = CountClassRows(data_, consequent_);
   in_x_.assign(data_.num_rows(), false);
 

@@ -3,28 +3,31 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/status.h"
+
 namespace topkrgs {
 
-std::vector<RowId> ClassDominantOrder(const DiscreteDataset& data,
+std::vector<RowId> ClassDominantOrder(std::span<const ClassLabel> labels,
                                       ClassLabel consequent,
-                                      const Bitset& frequent_items) {
-  const uint32_t n = data.num_rows();
-  std::vector<uint32_t> weight(n);
-  for (RowId r = 0; r < n; ++r) {
-    weight[r] = frequent_items.empty()
-                    ? static_cast<uint32_t>(data.row_items(r).size())
-                    : static_cast<uint32_t>(
-                          data.row_bitset(r).IntersectCount(frequent_items));
-  }
-  std::vector<RowId> order(n);
+                                      std::span<const uint32_t> weights) {
+  TOPKRGS_CHECK(labels.size() == weights.size(), "one weight per row");
+  std::vector<RowId> order(labels.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](RowId a, RowId b) {
-    const bool a_pos = data.label(a) == consequent;
-    const bool b_pos = data.label(b) == consequent;
+    const bool a_pos = labels[a] == consequent;
+    const bool b_pos = labels[b] == consequent;
     if (a_pos != b_pos) return a_pos;  // consequent class first
-    return weight[a] < weight[b];      // fewer frequent items first
+    return weights[a] < weights[b];    // lighter rows first
   });
   return order;
+}
+
+std::vector<uint32_t> InversePermutation(std::span<const RowId> order) {
+  // NOLINT(cast: one position per row, and the row space is uint32)
+  const auto n = static_cast<uint32_t>(order.size());
+  std::vector<uint32_t> position_of(n);
+  for (uint32_t pos = 0; pos < n; ++pos) position_of[order[pos]] = pos;
+  return position_of;
 }
 
 uint32_t CountClassRows(const DiscreteDataset& data, ClassLabel consequent) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/dataset.h"
@@ -67,14 +68,16 @@ struct MiningResult {
   MinerStats stats;
 };
 
-/// Computes the class dominant order ORD of the rows (Definition 3.1):
-/// all rows of `consequent` class first, then the rest; within each class,
-/// ascending number of frequent items (the ordering refinement of §4.1.2).
-/// `frequent_items` may be empty, in which case all items count.
-/// Returns a permutation: position -> original RowId.
-std::vector<RowId> ClassDominantOrder(const DiscreteDataset& data,
+/// The class dominant order ORD of the rows (Definition 3.1): rows of
+/// `consequent` class first, then the rest; within each class, ascending
+/// `weights[row]` (§4.1.2 weighs a row by its frequent items), ties in row
+/// order. Returns a permutation: position -> original RowId.
+std::vector<RowId> ClassDominantOrder(std::span<const ClassLabel> labels,
                                       ClassLabel consequent,
-                                      const Bitset& frequent_items);
+                                      std::span<const uint32_t> weights);
+
+/// The inverse of a row order: position_of[order[pos]] = pos.
+std::vector<uint32_t> InversePermutation(std::span<const RowId> order);
 
 /// Number of rows of `consequent` class (they occupy the first positions of
 /// the class dominant order).

@@ -4,6 +4,7 @@
 #include <functional>
 #include <string>
 
+#include "mine/miner_common.h"
 #include "util/check.h"
 #include "util/status.h"
 
@@ -46,8 +47,7 @@ PrefixTree PrefixTree::BuildRoot(const DiscreteDataset& data,
                                  const Bitset& items) {
   const uint32_t n = data.num_rows();
   TOPKRGS_CHECK(order.size() == n, "order must cover all rows");
-  std::vector<uint32_t> position_of(n);
-  for (uint32_t pos = 0; pos < n; ++pos) position_of[order[pos]] = pos;
+  const std::vector<uint32_t> position_of = InversePermutation(order);
 
   PrefixTree tree(n);
   std::vector<uint32_t> path;

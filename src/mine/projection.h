@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/dataset.h"
+#include "mine/miner_common.h"
 #include "mine/prefix_tree.h"
 #include "util/hot_path.h"
 
@@ -34,10 +35,7 @@ class VectorProjection {
                    const Bitset& items)
       // NOLINT(cast: order->size() == num_rows, a uint32 by construction)
       : num_positions_(static_cast<uint32_t>(order->size())) {
-    std::vector<uint32_t> position_of(data->num_rows());
-    for (uint32_t pos = 0; pos < order->size(); ++pos) {
-      position_of[(*order)[pos]] = pos;
-    }
+    const std::vector<uint32_t> position_of = InversePermutation(*order);
     freq_.assign(num_positions_, 0);
     items.ForEach([&](size_t item) {
       std::vector<uint32_t> tuple;

@@ -28,9 +28,8 @@ inline bool Dominated(uint32_t sup, uint32_t asup, const Significance& cut) {
 
 class TopkSearch {
  public:
-  TopkSearch(const FrequentItemIndex& index, ClassLabel consequent,
-             const TopkMinerOptions& options)
-      : index_(index), consequent_(consequent), opt_(options) {}
+  TopkSearch(const FrequentItemIndex& index, const TopkMinerOptions& options)
+      : index_(index), consequent_(index.consequent()), opt_(options) {}
 
   TopkResult Run();
 
@@ -143,11 +142,14 @@ class TopkSearch {
   const ClassLabel consequent_;
   const TopkMinerOptions& opt_;
 
-  std::vector<RowId> order_;           // position -> original row id
-  std::vector<uint32_t> position_of_;  // original row id -> position
+  // The row order searched and its inverse: the index's ORD, or an
+  // ablation order that Run builds.
+  std::span<const RowId> order_;
+  std::span<const uint32_t> position_of_;
+  std::vector<RowId> ablation_order_;
+  std::vector<uint32_t> ablation_position_of_;
   std::vector<uint8_t> pos_positive_;  // position -> is consequent-class
   std::vector<uint32_t> positive_positions_;  // in scope: >= begin_pos
-  std::vector<uint32_t> item_support_;  // column -> |column(c)|
   uint32_t item_words_ = 0;  // 64-bit words of an item-universe bitmap
   uint32_t row_words_ = 0;   // 64-bit words of a row bitmap
   uint32_t initial_minsup_ = 1;
@@ -390,7 +392,7 @@ void TopkSearch::CountFreq(std::span<const uint32_t> cand,
       CountFreqFromPostings(cand.size(), n, sparse, item_words_, 0, row_words_);
   if (postings) {
     uint64_t support_sum = 0;
-    items.ForEach([&](size_t c) { support_sum += item_support_[c]; });
+    items.ForEach([&](size_t c) { support_sum += index_.supports()[c]; });
     postings = CountFreqFromPostings(cand.size(), n, sparse, item_words_,
                                      support_sum, row_words_);
   }
@@ -469,9 +471,10 @@ bool TopkSearch::HeldEarlier(const RowSet& items, uint32_t items_count,
     // when that is below the p-row walk.
     uint32_t rarest = 0;
     uint32_t rarest_support = UINT32_MAX;
+    const std::vector<uint32_t>& support = index_.supports();
     items.ForEach([&](size_t c) {
-      if (item_support_[c] < rarest_support) {
-        rarest_support = item_support_[c];
+      if (support[c] < rarest_support) {
+        rarest_support = support[c];
         // NOLINT(cast: ForEach yields bit positions < num_columns, a uint32)
         rarest = static_cast<uint32_t>(c);
       }
@@ -628,42 +631,30 @@ TopkResult TopkSearch::Run() {
   initial_minsup_ = std::max<uint32_t>(1, opt_.min_support);
   minsup_ = initial_minsup_;
 
-  // ORD (Definition 3.1): consequent-class rows first, stable within each
-  // class. The paper's refinement (§4.1.2) sorts each class by ascending
-  // frequent-item count, which is a row's column count here.
-  std::vector<uint32_t> weight(n, 0);
-  if (opt_.row_order == TopkMinerOptions::RowOrder::kClassDominantWeighted) {
-    for (RowId r = 0; r < n; ++r) {
-      // NOLINT(cast: Count() <= num_columns, a uint32)
-      weight[r] = static_cast<uint32_t>(index_.row(r).Count());
+  order_ = index_.order();
+  position_of_ = index_.position_of();
+  if (opt_.row_order != TopkMinerOptions::RowOrder::kClassDominantWeighted) {
+    // The ordering ablations: unweighted class dominant, or natural.
+    if (opt_.row_order == TopkMinerOptions::RowOrder::kClassDominant) {
+      ablation_order_ = ClassDominantOrder(index_.labels(), consequent_,
+                                           std::vector<uint32_t>(n, 0));
+    } else {
+      ablation_order_.resize(n);
+      std::iota(ablation_order_.begin(), ablation_order_.end(), 0u);
     }
+    ablation_position_of_ = InversePermutation(ablation_order_);
+    order_ = ablation_order_;
+    position_of_ = ablation_position_of_;
   }
-  order_.resize(n);
-  std::iota(order_.begin(), order_.end(), 0u);
-  if (opt_.row_order != TopkMinerOptions::RowOrder::kNatural) {
-    std::stable_sort(order_.begin(), order_.end(), [&](RowId a, RowId b) {
-      const bool a_pos = index_.label(a) == consequent_;
-      const bool b_pos = index_.label(b) == consequent_;
-      if (a_pos != b_pos) return a_pos;
-      return weight[a] < weight[b];
-    });
-  }
-  position_of_.assign(n, 0);
   pos_positive_.assign(n, 0);
   positive_positions_.clear();
   for (uint32_t pos = 0; pos < n; ++pos) {
-    position_of_[order_[pos]] = pos;
     pos_positive_[pos] = index_.label(order_[pos]) == consequent_ ? 1 : 0;
     if (pos_positive_[pos] != 0 && pos >= opt_.begin_pos) {
       positive_positions_.push_back(pos);
     }
   }
   const uint32_t columns = index_.num_columns();
-  item_support_.resize(columns);
-  for (uint32_t c = 0; c < columns; ++c) {
-    // NOLINT(cast: Count() <= num_rows, a uint32)
-    item_support_[c] = static_cast<uint32_t>(index_.column(c).Count());
-  }
   item_words_ = (index_.universe() + 63) / 64;
   row_words_ = (n + 63) / 64;
   in_x_.assign(n, 0);
@@ -829,9 +820,11 @@ std::vector<RuleGroupPtr> TopkResult::GroupsAtRank(uint32_t j,
 }
 
 FrequentItemIndex::FrequentItemIndex(const DiscreteDataset& data,
+                                     ClassLabel consequent,
                                      const Bitset& frequent)
-    : universe_(data.num_items()), labels_(data.num_rows()) {
-  for (RowId r = 0; r < data.num_rows(); ++r) labels_[r] = data.label(r);
+    : universe_(data.num_items()),
+      consequent_(consequent),
+      labels_(data.labels()) {
   frequent.ForEach([&](size_t item) {
     // NOLINT(cast: ForEach yields bit positions < num_items, an ItemId)
     item_ids_.push_back(static_cast<ItemId>(item));
@@ -839,25 +832,39 @@ FrequentItemIndex::FrequentItemIndex(const DiscreteDataset& data,
   });
   if (item_ids_.size() < universe_) {
     TransposeColumns();
-    return;
+  } else {
+    // Every item is frequent: the dataset's rows are already the columns'.
+    rows_.resize(data.num_rows());
+    for (RowId r = 0; r < data.num_rows(); ++r) rows_[r] = &data.row_bitset(r);
   }
-  // Every item is frequent: the dataset's rows are already the columns'.
-  rows_.resize(data.num_rows());
-  for (RowId r = 0; r < data.num_rows(); ++r) rows_[r] = &data.row_bitset(r);
+  // The paper's ORD weighs a row by its frequent items: its column count.
+  std::vector<uint32_t> weights(num_rows());
+  for (RowId r = 0; r < num_rows(); ++r) {
+    // NOLINT(cast: Count() <= num_columns, a uint32)
+    weights[r] = static_cast<uint32_t>(row(r).Count());
+  }
+  order_ = ClassDominantOrder(labels_, consequent_, weights);
+  IndexOrderAndSupports();
 }
 
 FrequentItemIndex::FrequentItemIndex(uint32_t universe,
                                      std::vector<ItemId> item_ids,
                                      std::vector<Bitset> column_rows,
-                                     std::vector<ClassLabel> labels)
+                                     std::vector<ClassLabel> labels,
+                                     ClassLabel consequent,
+                                     std::vector<RowId> order)
     : universe_(universe),
+      consequent_(consequent),
       item_ids_(std::move(item_ids)),
       labels_(std::move(labels)),
-      owned_columns_(std::move(column_rows)) {
+      owned_columns_(std::move(column_rows)),
+      order_(std::move(order)) {
   TOPKRGS_CHECK(owned_columns_.size() == item_ids_.size(),
                 "one row bitset per column");
+  TOPKRGS_CHECK(order_.size() == labels_.size(), "one position per row");
   for (const Bitset& rows : owned_columns_) columns_.push_back(&rows);
   TransposeColumns();
+  IndexOrderAndSupports();
 }
 
 void FrequentItemIndex::TransposeColumns() {
@@ -867,6 +874,15 @@ void FrequentItemIndex::TransposeColumns() {
   }
   rows_.resize(owned_rows_.size());
   for (size_t r = 0; r < owned_rows_.size(); ++r) rows_[r] = &owned_rows_[r];
+}
+
+void FrequentItemIndex::IndexOrderAndSupports() {
+  position_of_ = InversePermutation(order_);
+  supports_.resize(columns_.size());
+  for (uint32_t c = 0; c < columns_.size(); ++c) {
+    // NOLINT(cast: Count() <= num_rows, a uint32)
+    supports_[c] = static_cast<uint32_t>(columns_[c]->Count());
+  }
 }
 
 Bitset FrequentItemIndex::Lift(const RowSet& columns) const {
@@ -879,16 +895,17 @@ TopkResult MineTopkRGS(const DiscreteDataset& data, ClassLabel consequent,
                        const TopkMinerOptions& options) {
   Stopwatch timer;
   const FrequentItemIndex index(
-      data, FrequentItems(data, consequent,
-                          std::max<uint32_t>(1, options.min_support)));
-  TopkResult result = MineTopkRGS(index, consequent, options);
+      data, consequent,
+      FrequentItems(data, consequent,
+                    std::max<uint32_t>(1, options.min_support)));
+  TopkResult result = MineTopkRGS(index, options);
   result.stats.seconds = timer.ElapsedSeconds();
   return result;
 }
 
-TopkResult MineTopkRGS(const FrequentItemIndex& index, ClassLabel consequent,
+TopkResult MineTopkRGS(const FrequentItemIndex& index,
                        const TopkMinerOptions& options) {
-  TopkSearch search(index, consequent, options);
+  TopkSearch search(index, options);
   return search.Run();
 }
 

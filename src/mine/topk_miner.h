@@ -27,7 +27,7 @@ struct TopkMinerOptions {
 
   enum class RowOrder {
     /// Class dominant, ascending frequent-item count within each class
-    /// (the paper's ORD, §4.1.2).
+    /// (the paper's ORD, §4.1.2): the index's own order().
     kClassDominantWeighted,
     /// Class dominant, original row order within each class.
     kClassDominant,
@@ -102,26 +102,30 @@ inline bool CountFreqFromPostings(uint64_t candidates, uint64_t items,
   return postings < per_candidate;
 }
 
-/// MineTopkRGS's view of a dataset in the frequent-item universe
-/// (DESIGN.md §3). The search only ever intersects I(X) ⊆ the items that
-/// are frequent in the consequent class, so it reads each row as a bitset
-/// over those columns alone. Column c is original item item_id(c), and
-/// columns ascend in item id. Item ids go back to the full universe
-/// (Lift) only where a group leaves the search.
+/// MineTopkRGS's immutable input (DESIGN.md §3): a dataset in the
+/// frequent-item universe of one consequent class, and its row order ORD.
+/// The search only ever intersects I(X) ⊆ the items that are frequent in
+/// the consequent class, so it reads each row as a bitset over those
+/// columns alone. Column c is original item item_id(c), and columns ascend
+/// in item id. Item ids go back to the full universe (Lift) only where a
+/// group leaves the search. Every search over one index (every shard of a
+/// sharded run) reads the same ORD and column supports.
 class FrequentItemIndex {
  public:
   /// The projection of `data` onto `frequent`, a bitset over its item
-  /// universe. Borrows `data`'s per-item row bitsets, and its per-row item
-  /// bitsets too when every item is frequent, so `data` must outlive the
-  /// index.
-  FrequentItemIndex(const DiscreteDataset& data, const Bitset& frequent);
+  /// universe, in the paper's ORD. Borrows `data`'s per-item row bitsets,
+  /// and its per-row item bitsets too when every item is frequent, so
+  /// `data` must outlive the index.
+  FrequentItemIndex(const DiscreteDataset& data, ClassLabel consequent,
+                    const Bitset& frequent);
 
   /// An index that owns its columns: `column_rows[c]` holds the rows (a
   /// bitset over the labels' rows) of item `item_ids[c]`, an ascending id
-  /// below `universe`.
+  /// below `universe`. `order` is the rows' ORD (ShardPlan::order).
   FrequentItemIndex(uint32_t universe, std::vector<ItemId> item_ids,
                     std::vector<Bitset> column_rows,
-                    std::vector<ClassLabel> labels);
+                    std::vector<ClassLabel> labels, ClassLabel consequent,
+                    std::vector<RowId> order);
 
   // The row and column pointers point into heap buffers that a move
   // carries along, and a copy would not.
@@ -136,12 +140,20 @@ class FrequentItemIndex {
   uint32_t num_columns() const { return static_cast<uint32_t>(item_ids_.size()); }
   /// Width of the original item universe.
   uint32_t universe() const { return universe_; }
+  ClassLabel consequent() const { return consequent_; }
   ItemId item_id(uint32_t column) const { return item_ids_[column]; }
   ClassLabel label(RowId row) const { return labels_[row]; }
+  const std::vector<ClassLabel>& labels() const { return labels_; }
   /// The columns `row` holds, as a bitset over num_columns().
   const Bitset& row(RowId row) const { return *rows_[row]; }
   /// The rows holding `column`, as a bitset over num_rows().
   const Bitset& column(uint32_t column) const { return *columns_[column]; }
+  /// Column -> |column(c)|.
+  const std::vector<uint32_t>& supports() const { return supports_; }
+  /// ORD: position -> original row id.
+  const std::vector<RowId>& order() const { return order_; }
+  /// The inverse of order(): original row id -> position.
+  const std::vector<uint32_t>& position_of() const { return position_of_; }
 
   /// `columns`, a set over num_columns(), as its items: a bitset over the
   /// full item universe.
@@ -150,14 +162,20 @@ class FrequentItemIndex {
  private:
   /// Fills owned_rows_ from the columns and points rows_ at them.
   void TransposeColumns();
+  /// Fills position_of_ from order_ and supports_ from the columns.
+  void IndexOrderAndSupports();
 
   uint32_t universe_ = 0;
+  ClassLabel consequent_ = 0;
   std::vector<ItemId> item_ids_;
   std::vector<ClassLabel> labels_;
   std::vector<Bitset> owned_rows_;     // empty when rows_ are borrowed
   std::vector<Bitset> owned_columns_;  // empty when columns_ are borrowed
   std::vector<const Bitset*> rows_;
   std::vector<const Bitset*> columns_;
+  std::vector<uint32_t> supports_;
+  std::vector<RowId> order_;
+  std::vector<uint32_t> position_of_;
 };
 
 /// A discovered rule group shared between the rows it covers.
@@ -205,10 +223,10 @@ struct TopkResult {
 TopkResult MineTopkRGS(const DiscreteDataset& data, ClassLabel consequent,
                        const TopkMinerOptions& options);
 
-/// The same search over a prepared index. Its columns must be exactly the
-/// items whose support within the `consequent` class reaches
+/// The same search over a prepared index, for its consequent. Its columns
+/// must be exactly the items whose support within that class reaches
 /// max(1, options.min_support), as FrequentItems computes them.
-TopkResult MineTopkRGS(const FrequentItemIndex& index, ClassLabel consequent,
+TopkResult MineTopkRGS(const FrequentItemIndex& index,
                        const TopkMinerOptions& options);
 
 }  // namespace topkrgs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mine/miner_common.h"
 #include "util/rowset.h"
 
 namespace topkrgs {
@@ -9,11 +10,7 @@ namespace topkrgs {
 TransposedTable TransposedTable::Build(const DiscreteDataset& data,
                                        const std::vector<RowId>& order,
                                        const Bitset& items) {
-  // position_of[r] = position of original row r in the enumeration order.
-  std::vector<uint32_t> position_of(data.num_rows());
-  for (uint32_t pos = 0; pos < order.size(); ++pos) {
-    position_of[order[pos]] = pos;
-  }
+  const std::vector<uint32_t> position_of = InversePermutation(order);
   TransposedTable tt;
   items.ForEach([&](size_t item) {
     Tuple tuple;

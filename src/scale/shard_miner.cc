@@ -15,12 +15,13 @@ DiscreteDataset BuildSuffixDataset(const TransposedView& view,
                                    uint32_t shard_index) {
   const uint32_t begin = plan.shards[shard_index].begin_pos;
   const uint32_t suffix_rows = view.num_rows - begin;
+  const std::vector<uint32_t> position_of = InversePermutation(plan.order);
   std::vector<std::vector<ItemId>> rows(suffix_rows);
   for (uint32_t item = 0; item < view.num_items; ++item) {
     const uint32_t* ids = view.rows_of(item);
     const size_t count = view.rows_count(item);
     for (size_t i = 0; i < count; ++i) {
-      const uint32_t pos = plan.position_of[ids[i]];
+      const uint32_t pos = position_of[ids[i]];
       if (pos >= begin) rows[pos - begin].push_back(item);
     }
   }
@@ -47,7 +48,8 @@ FrequentItemIndex ProjectPlanItems(const TransposedView& view,
   });
   return FrequentItemIndex(
       view.num_items, std::move(item_ids), std::move(column_rows),
-      std::vector<ClassLabel>(view.labels, view.labels + view.num_rows));
+      std::vector<ClassLabel>(view.labels, view.labels + view.num_rows),
+      plan.consequent, plan.order);
 }
 
 ShardResult MineShard(const FrequentItemIndex& index, const ShardPlan& plan,
@@ -58,6 +60,10 @@ ShardResult MineShard(const FrequentItemIndex& index, const ShardPlan& plan,
   // shard emits is the whole one.
   TKRGS_DCHECK_LE(range.begin_pos, plan.absorbed_min_pos,
                   "a shard scope begins past the earliest absorbed row");
+  // The scope's positions index the plan's ORD.
+  TKRGS_DCHECK(index.consequent() == plan.consequent &&
+                   index.order() == plan.order,
+               "the index is not ordered by the plan");
 
   TopkMinerOptions mine_options;
   mine_options.k = plan.k;
@@ -66,7 +72,7 @@ ShardResult MineShard(const FrequentItemIndex& index, const ShardPlan& plan,
   mine_options.begin_pos = range.begin_pos;
   mine_options.first_level_end = range.first_level_end;
 
-  TopkResult mined = MineTopkRGS(index, plan.consequent, mine_options);
+  TopkResult mined = MineTopkRGS(index, mine_options);
   ShardResult result;
   result.shard_index = shard_index;
   result.per_pos.resize(plan.positives - range.begin_pos);
@@ -76,12 +82,6 @@ ShardResult MineShard(const FrequentItemIndex& index, const ShardPlan& plan,
   }
   result.stats = mined.stats;
   return result;
-}
-
-ShardResult MineShard(const DiscreteDataset& data, const ShardPlan& plan,
-                      uint32_t shard_index, const ShardMineOptions& options) {
-  return MineShard(FrequentItemIndex(data, plan.frequent), plan, shard_index,
-                   options);
 }
 
 ShardResult MineShard(const TransposedView& view, const ShardPlan& plan,

@@ -51,21 +51,16 @@ DiscreteDataset BuildSuffixDataset(const TransposedView& view,
 
 /// The plan's frequent items of `view` as the index every shard mines,
 /// read straight from the CSR postings: one row bitset per frequent item
-/// and one bitset of frequent columns per row. The infrequent items are
-/// never copied.
+/// and one bitset of frequent columns per row, in the plan's ORD
+/// (ShardPlan::order). The infrequent items are never copied.
 FrequentItemIndex ProjectPlanItems(const TransposedView& view,
                                    const ShardPlan& plan);
 
 /// Mines shard `shard_index` of `plan` on `index`, the plan's frequent
-/// items of the planned view (ProjectPlanItems): MineTopkRGS scoped to the
-/// shard's range of ORD positions (TopkMinerOptions::begin_pos /
-/// first_level_end).
+/// items of the planned view in the plan's ORD (ProjectPlanItems):
+/// MineTopkRGS scoped to the shard's range of ORD positions
+/// (TopkMinerOptions::begin_pos / first_level_end).
 ShardResult MineShard(const FrequentItemIndex& index, const ShardPlan& plan,
-                      uint32_t shard_index, const ShardMineOptions& options);
-
-/// As above on `data`, the materialized dataset of the planned view,
-/// projected onto the plan's frequent items for this one call.
-ShardResult MineShard(const DiscreteDataset& data, const ShardPlan& plan,
                       uint32_t shard_index, const ShardMineOptions& options);
 
 /// As above, projecting the plan's frequent items from `view`'s postings

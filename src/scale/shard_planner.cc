@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "mine/miner_common.h"
 #include "util/safe_math.h"
 
 namespace topkrgs {
@@ -89,9 +90,8 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
   // NOLINT(cast: Count() <= num_items, a uint32)
   const auto frequent_count = static_cast<uint32_t>(plan.frequent.Count());
 
-  // Global canonical order — ClassDominantOrder (the paper's ORD)
-  // recomputed from postings: weight = |row ∩ frequent|, consequent-class
-  // rows first, ascending weight within each class, stable within ties.
+  // Global canonical order: the paper's ORD, weighing each row by its
+  // frequent items, counted from postings.
   std::vector<uint32_t> weight(num_rows, 0);
   plan.frequent.ForEach([&](size_t bit) {
     // NOLINT(cast: ForEach yields bit positions < num_items, a uint32)
@@ -100,19 +100,8 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
     const size_t count = view.rows_count(item);
     for (size_t i = 0; i < count; ++i) ++weight[ids[i]];
   });
-  plan.order.resize(num_rows);
-  std::iota(plan.order.begin(), plan.order.end(), 0u);
-  std::stable_sort(plan.order.begin(), plan.order.end(),
-                   [&](RowId a, RowId b) {
-                     const bool a_pos = view.labels[a] == consequent;
-                     const bool b_pos = view.labels[b] == consequent;
-                     if (a_pos != b_pos) return a_pos;
-                     return weight[a] < weight[b];
-                   });
-  plan.position_of.assign(num_rows, 0);
-  for (uint32_t pos = 0; pos < num_rows; ++pos) {
-    plan.position_of[plan.order[pos]] = pos;
-  }
+  plan.order = ClassDominantOrder(
+      std::span<const ClassLabel>(view.labels, num_rows), consequent, weight);
   plan.positives = 0;
   for (uint32_t r = 0; r < num_rows; ++r) {
     if (view.labels[r] == consequent) ++plan.positives;
@@ -150,25 +139,7 @@ StatusOr<ShardPlan> PlanShards(const TransposedView& view,
     return plan;  // nothing to mine; shards stays empty
   }
 
-  // Shard count: explicit, or sized so each shard's result lists (~k dense
-  // group handles per owned position) stay within a quarter of the budget.
-  uint32_t count = options.shard_count;
-  if (count == 0) {
-    if (options.memory_budget_bytes == 0) {
-      count = 1;
-    } else {
-      const uint64_t per_pos =
-          static_cast<uint64_t>(options.k) *
-          (BitsetBytes(num_items) + BitsetBytes(num_rows));
-      const uint64_t rows_per_shard =
-          std::max<uint64_t>(1, options.memory_budget_bytes / 4 / per_pos);
-      // NOLINT(cast: min() result <= np, a uint32)
-      count = static_cast<uint32_t>(
-          std::min<uint64_t>(np, (np + rows_per_shard - 1) / rows_per_shard));
-    }
-  }
-  count = std::min(count, np);
-  count = std::max(count, 1u);
+  const uint32_t count = std::clamp(options.shard_count, 1u, np);
 
   // Even split of the positive positions; the first `extra` shards take
   // one more. Shards beginning after the earliest root-absorbed row are

@@ -17,13 +17,12 @@ namespace topkrgs {
 struct ShardPlanOptions {
   uint32_t k = 1;
   uint32_t min_support = 1;
-  /// Peak-RSS target for the whole sharded mining run. The planner sizes
-  /// each shard's OWNED range so its result lists stay within a fraction
-  /// of it, and rejects the run up front (InvalidArgument) when even the
-  /// irreducible working set — the CSR table plus the index of the
-  /// frequent items every shard mines — cannot fit. 0 = unlimited.
+  /// Peak-RSS limit for the whole sharded run, checked only: the planner
+  /// rejects the run up front (InvalidArgument) when its working-set
+  /// estimate is above it. Every shard's lists live until the merge, so
+  /// more shards cannot lower the peak. 0 = unlimited.
   uint64_t memory_budget_bytes = 0;
-  /// Explicit shard count; 0 = derive from the budget (1 when unlimited).
+  /// Shard count, capped at the consequent-class row count; 0 = one shard.
   uint32_t shard_count = 0;
 };
 
@@ -52,10 +51,9 @@ struct ShardPlan {
   uint32_t k = 1;
   /// max(1, options.min_support) — the miner's initial minsup convention.
   uint32_t initial_min_support = 1;
-  std::vector<RowId> order;           // global position -> original row id
-  std::vector<uint32_t> position_of;  // original row id -> global position
-  uint32_t positives = 0;             // np: consequent-class row count
-  Bitset frequent;                    // global frequent items
+  std::vector<RowId> order;  // global position -> original row id
+  uint32_t positives = 0;    // np: consequent-class row count
+  Bitset frequent;           // global frequent items
   /// Earliest canonical position of a row containing EVERY frequent item
   /// ("root-absorbed": such rows are in every closed rowset), UINT32_MAX
   /// if none. Shards whose range begins after it are never planned — that

@@ -11,7 +11,7 @@
 
 namespace topkrgs {
 
-MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,
+TopkResult MergeShardResults(const TransposedView& view, const ShardPlan& plan,
                              const std::vector<ShardResult>& shards) {
   // Slots are original row ids, so the consequent-class slots are
   // order[0, positives).
@@ -31,7 +31,7 @@ MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,
     }
   }
 
-  MergedTopk merged;
+  TopkResult merged;
   merged.per_row.assign(view.num_rows, {});
   for (const RowId row : positive_rows) {
     lists.Export(row, &merged.per_row[row]);
@@ -65,7 +65,7 @@ uint64_t TopkDigest(const std::vector<std::vector<RuleGroupPtr>>& per_row,
   return digest;
 }
 
-StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,
+StatusOr<TopkResult> MineShardedTopkRGS(const TransposedView& view,
                                         ClassLabel consequent,
                                         const ShardPlanOptions& plan_options,
                                         const ShardMineOptions& mine_options,
@@ -89,7 +89,7 @@ StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,
     }
   }
 
-  MergedTopk merged = MergeShardResults(view, plan, results);
+  TopkResult merged = MergeShardResults(view, plan, results);
   merged.stats = aggregate;
   merged.stats.seconds = timer.ElapsedSeconds();
   if (plan_out != nullptr) *plan_out = plan;

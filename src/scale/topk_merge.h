@@ -14,19 +14,12 @@
 
 namespace topkrgs {
 
-/// The sharded engine's final output — same shape and same contents, bit
-/// for bit, as single-shot MineTopkRGS on the materialized dataset
-/// (TopkResult::per_row indexed by original row id, plus the recomputed
-/// effective minsup). `stats` aggregates the per-shard search counters;
-/// timed_out means some shard hit its deadline and the lists are
-/// incomplete.
-struct MergedTopk {
-  std::vector<std::vector<RuleGroupPtr>> per_row;
-  uint32_t effective_min_support = 0;
-  MinerStats stats;
-};
+/// The end-to-end benchmark still spells the merged result this way.
+using MergedTopk = TopkResult;
 
-/// Merges per-shard results into the global per-row top-k in one pass:
+/// Merges per-shard results into the global per-row top-k — same shape
+/// and same contents, bit for bit, as single-shot MineTopkRGS on the
+/// materialized dataset — in one pass:
 /// each shard's final lists are replayed, shard → position → list order,
 /// through the miner's own TopkLists. Shard 0's scope is the whole
 /// dataset, so its lists already hold the seeds, the root group and the
@@ -35,7 +28,7 @@ struct MergedTopk {
 /// first-arrival tie-breaking composes over concatenation. Duplicates a
 /// later shard re-derives (seeds, the root group) collapse through the
 /// identity-triple dedup. See DESIGN.md §14 for the argument.
-MergedTopk MergeShardResults(const TransposedView& view, const ShardPlan& plan,
+TopkResult MergeShardResults(const TransposedView& view, const ShardPlan& plan,
                              const std::vector<ShardResult>& shards);
 
 /// Order- and content-sensitive digest of a top-k result: covers every
@@ -48,10 +41,12 @@ uint64_t TopkDigest(const std::vector<std::vector<RuleGroupPtr>>& per_row,
 
 /// End-to-end sharded mining: plan, project the plan's frequent items from
 /// the postings once (ProjectPlanItems), mine each shard on that index
-/// sequentially, merge. On success `plan_out`
-/// (when non-null) receives the executed plan for reporting. Fails only
-/// on planning errors (bad consequent, infeasible memory budget).
-StatusOr<MergedTopk> MineShardedTopkRGS(const TransposedView& view,
+/// sequentially, merge. `stats` aggregates the per-shard search counters;
+/// timed_out means some shard hit its deadline and the lists are
+/// incomplete. On success `plan_out` (when non-null) receives the
+/// executed plan for reporting. Fails only on planning errors (bad
+/// consequent, infeasible memory budget).
+StatusOr<TopkResult> MineShardedTopkRGS(const TransposedView& view,
                                         ClassLabel consequent,
                                         const ShardPlanOptions& plan_options,
                                         const ShardMineOptions& mine_options,

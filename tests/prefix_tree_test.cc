@@ -144,19 +144,20 @@ TEST(PrefixTreeTest, RandomizedAgreementWithTransposedTable) {
 
 TEST(MinerCommonTest, ClassDominantOrder) {
   DiscreteDataset d = MakeRunningExampleDataset();
-  const Bitset all = Bitset::AllSet(d.num_items());
-  auto order = ClassDominantOrder(d, 1, all);
+  auto order = ClassDominantOrder(d.labels(), 1,
+                                  std::vector<uint32_t>(d.num_rows(), 0));
   ASSERT_EQ(order.size(), 5u);
   // Rows of class 1 (r1,r2,r3) precede rows of class 0 (r4,r5).
   for (int i = 0; i < 3; ++i) EXPECT_EQ(d.label(order[i]), 1);
   for (int i = 3; i < 5; ++i) EXPECT_EQ(d.label(order[i]), 0);
+  // Equal weights keep each class in row order.
+  EXPECT_EQ(order, (std::vector<RowId>{0, 1, 2, 3, 4}));
 }
 
 TEST(MinerCommonTest, OrderSortsByFrequentItemCountWithinClass) {
   // Class-1 rows with 1, 3, 2 frequent items -> order 0, 2, 1 by weight.
-  DiscreteDataset d(4, {{0}, {0, 1, 2}, {0, 1}, {3}}, {1, 1, 1, 0});
-  Bitset freq = Bitset::AllSet(4);
-  auto order = ClassDominantOrder(d, 1, freq);
+  const std::vector<ClassLabel> labels = {1, 1, 1, 0};
+  auto order = ClassDominantOrder(labels, 1, std::vector<uint32_t>{1, 3, 2, 1});
   EXPECT_EQ(order[0], 0u);
   EXPECT_EQ(order[1], 2u);
   EXPECT_EQ(order[2], 1u);

@@ -189,7 +189,7 @@ TEST(MmapDatasetTest, RoundTripAndValidation) {
   std::remove(path.c_str());
 }
 
-TEST(ShardPlannerTest, BudgetInfeasibleAndAutoCount) {
+TEST(ShardPlannerTest, BudgetRejectsAndCountTiles) {
   const ScaleProfile profile = ScaleProfile::Micro();
   std::string text;
   for (uint64_t row = 0; row < profile.rows; ++row) {
@@ -215,13 +215,18 @@ TEST(ShardPlannerTest, BudgetInfeasibleAndAutoCount) {
   EXPECT_EQ(unlimited.value().shards.size(), 1u);
   EXPECT_GT(unlimited.value().estimated_peak_bytes, 0u);
 
-  // A budget a little above the floor forces a multi-shard plan whose
-  // ranges tile [0, positives) in order.
-  options.memory_budget_bytes = unlimited.value().estimated_peak_bytes + 4096;
-  auto tight = PlanShards(view, 1, options);
-  ASSERT_TRUE(tight.ok());
-  const ShardPlan& plan = tight.value();
-  ASSERT_FALSE(plan.shards.empty());
+  // A feasible budget only checks: the plan is still one shard.
+  options.memory_budget_bytes = unlimited.value().estimated_peak_bytes;
+  auto feasible = PlanShards(view, 1, options);
+  ASSERT_TRUE(feasible.ok());
+  EXPECT_EQ(feasible.value().shards.size(), 1u);
+
+  // An explicit count plans ranges that tile [0, positives) in order.
+  options.shard_count = 5;
+  auto split = PlanShards(view, 1, options);
+  ASSERT_TRUE(split.ok());
+  const ShardPlan& plan = split.value();
+  ASSERT_GT(plan.shards.size(), 1u);
   uint32_t cursor = 0;
   for (const ShardRange& range : plan.shards) {
     EXPECT_EQ(range.begin_pos, cursor);

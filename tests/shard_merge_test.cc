@@ -300,11 +300,12 @@ TEST(ShardMergeTest, ClassPureItemsAcrossShardAndThreadCounts) {
                        "class-pure items");
 }
 
-/// A shard's begin_pos indexes the miner's own ORD on the materialized
-/// dataset, so the planner's order and frequent set, recomputed from CSR
-/// postings, must equal ClassDominantOrder and FrequentItems exactly —
-/// stable tie order included (the tie-saturated rows 2-13 all weigh one
-/// frequent item).
+/// The planner's order and frequent set, computed from CSR postings, must
+/// equal FrequentItems and the order the miner reads from the index of the
+/// materialized dataset exactly — stable tie order included (the
+/// tie-saturated rows 2-13 all weigh one frequent item). Shards mine the
+/// plan's order by construction (ProjectPlanItems); this keeps it the
+/// order a single-shot search uses.
 void ExpectPlanMatchesMinerOrder(const TransposedView& view,
                                  ClassLabel consequent, uint32_t minsup,
                                  const std::string& context) {
@@ -317,8 +318,8 @@ void ExpectPlanMatchesMinerOrder(const TransposedView& view,
   const Bitset frequent =
       FrequentItems(data, consequent, plan.initial_min_support);
   EXPECT_EQ(plan.frequent, frequent) << context;
-  EXPECT_EQ(plan.order, ClassDominantOrder(data, consequent, frequent))
-      << context;
+  const FrequentItemIndex index(data, consequent, frequent);
+  EXPECT_EQ(plan.order, index.order()) << context;
 }
 
 TEST(ShardMergeTest, PlanOrderIsTheMinersOrder) {
@@ -467,7 +468,9 @@ TEST(ShardMergeTest, MineShardFromViewMatchesMaterializedDataset) {
   size_t groups = 0;
   for (uint32_t s = 0; s < plan.shards.size(); ++s) {
     const ShardResult a = MineShard(view, plan, s, options);
-    const ShardResult b = MineShard(full, plan, s, options);
+    const ShardResult b =
+        MineShard(FrequentItemIndex(full, plan.consequent, plan.frequent), plan,
+                  s, options);
     const std::string context = "shard " + std::to_string(s);
     EXPECT_EQ(a.shard_index, s) << context;
     EXPECT_EQ(b.shard_index, s) << context;
@@ -502,12 +505,15 @@ TEST(ShardMergeTest, PlanIndexIsTheDatasetProjection) {
   const ShardPlan& plan = planned.plan;
   const DiscreteDataset full = MaterializeDataset(view);
   const FrequentItemIndex from_postings = ProjectPlanItems(view, plan);
-  const FrequentItemIndex from_dataset(full, plan.frequent);
+  const FrequentItemIndex from_dataset(full, plan.consequent, plan.frequent);
   ASSERT_GT(from_postings.num_columns(), 0u);
   ASSERT_LT(from_postings.num_columns(), view.num_items);
   EXPECT_EQ(from_postings.universe(), view.num_items);
   ASSERT_EQ(from_postings.num_columns(), from_dataset.num_columns());
   ASSERT_EQ(from_postings.num_rows(), from_dataset.num_rows());
+  EXPECT_EQ(from_postings.order(), plan.order);
+  EXPECT_EQ(from_postings.order(), from_dataset.order());
+  EXPECT_EQ(from_postings.supports(), from_dataset.supports());
   for (uint32_t c = 0; c < from_postings.num_columns(); ++c) {
     EXPECT_EQ(from_postings.item_id(c), from_dataset.item_id(c));
     EXPECT_EQ(from_postings.column(c), from_dataset.column(c));

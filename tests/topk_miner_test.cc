@@ -496,8 +496,9 @@ TEST(FrequentItemIndexTest, ColumnsAndRowsMapToOriginalItems) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
     const DiscreteDataset d = RandomDataset(seed + 900, 12, 14, 0.35);
     const Bitset frequent = FrequentItems(d, 1, 3);
-    const FrequentItemIndex index(d, frequent);
+    const FrequentItemIndex index(d, 1, frequent);
     ASSERT_EQ(index.universe(), d.num_items());
+    ASSERT_EQ(index.consequent(), 1);
     ASSERT_EQ(index.num_rows(), d.num_rows());
     ASSERT_EQ(index.num_columns(), frequent.Count());
     for (uint32_t c = 0; c < index.num_columns(); ++c) {
@@ -508,6 +509,7 @@ TEST(FrequentItemIndexTest, ColumnsAndRowsMapToOriginalItems) {
       }
       // Each column's rows are the rows of its original item.
       ASSERT_EQ(index.column(c), d.item_rows(item));
+      ASSERT_EQ(index.supports()[c], d.item_rows(item).Count());
     }
     for (RowId r = 0; r < d.num_rows(); ++r) {
       ASSERT_EQ(index.label(r), d.label(r));
@@ -531,12 +533,41 @@ TEST(FrequentItemIndexTest, ColumnsAndRowsMapToOriginalItems) {
 
 TEST(FrequentItemIndexTest, EveryItemFrequentCopiesNoBitset) {
   const DiscreteDataset d = RandomDataset(4, 10, 12, 0.5);
-  const FrequentItemIndex index(d, Bitset::AllSet(d.num_items()));
+  const FrequentItemIndex index(d, 1, Bitset::AllSet(d.num_items()));
   for (RowId r = 0; r < d.num_rows(); ++r) {
     EXPECT_EQ(&index.row(r), &d.row_bitset(r));
   }
   for (uint32_t c = 0; c < index.num_columns(); ++c) {
     EXPECT_EQ(&index.column(c), &d.item_rows(c));
+  }
+}
+
+/// The index's ORD on the tie-saturated rows of the shard tests: rows 0-1
+/// hold all three items, rows 2-13 one each (all consequent class), and
+/// three negative rows one each. Every row but 0-1 weighs one frequent
+/// item, so the stable sort must keep each class's light rows in row order
+/// ahead of the heavy ones. The position of each row is the inverse.
+TEST(FrequentItemIndexTest, OrderKeepsRowOrderWithinTies) {
+  std::vector<std::vector<ItemId>> rows = {{0, 1, 2}, {0, 1, 2}};
+  for (ItemId item = 0; item < 3; ++item) {
+    for (int i = 0; i < 4; ++i) rows.push_back({item});
+  }
+  for (ItemId item = 0; item < 3; ++item) rows.push_back({item});
+  std::vector<ClassLabel> labels(14, 1);
+  labels.resize(17, 0);
+  const DiscreteDataset d(3, std::move(rows), std::move(labels));
+  const std::vector<RowId> expected[] = {
+      {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 1, 14, 15, 16},
+      {14, 15, 16, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 1},
+  };
+  for (ClassLabel cls : {ClassLabel{1}, ClassLabel{0}}) {
+    const FrequentItemIndex index(d, cls, FrequentItems(d, cls, 1));
+    ASSERT_EQ(index.num_columns(), 3u);
+    EXPECT_EQ(index.order(), expected[cls == 1 ? 0 : 1]) << "cls=" << int{cls};
+    for (uint32_t pos = 0; pos < index.num_rows(); ++pos) {
+      EXPECT_EQ(index.position_of()[index.order()[pos]], pos);
+    }
+    EXPECT_EQ(index.supports(), (std::vector<uint32_t>{7, 7, 7}));
   }
 }
 

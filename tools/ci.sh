@@ -379,8 +379,24 @@ run_scale() {
   [ -n "${text_digest}" ] || { echo "shard-mine printed no digest"; exit 1; }
   [ "${text_digest}" = "${tkds_digest}" ] || {
     echo "digest mismatch: text=${text_digest} tkds=${tkds_digest}"; exit 1; }
+
+  echo "== the memory budget only checks: one shard, same digest; infeasible exits 2 =="
+  local budget_out budget_digest budget_rc=0
+  budget_out="$(build-release/tools/topkrgs-shard-mine \
+    --data "${tmp}/toy.items" --minsup 2 --k 3 --memory-budget 100000000)"
+  grep -qF 'plan: 1 shard(s)' <<< "${budget_out}" || {
+    echo "a --memory-budget run did not plan one shard:"
+    echo "${budget_out}"; exit 1; }
+  budget_digest="$(sed -n 's/.*digest \([0-9a-f]*\).*/\1/p' <<< "${budget_out}")"
+  [ "${budget_digest}" = "${text_digest}" ] || {
+    echo "digest mismatch: text=${text_digest} budget=${budget_digest}"; exit 1; }
+  build-release/tools/topkrgs-shard-mine --data "${tmp}/toy.items" \
+    --minsup 2 --k 3 --memory-budget 1 >/dev/null 2>&1 || budget_rc=$?
+  [ "${budget_rc}" -eq 2 ] || {
+    echo "an infeasible --memory-budget exited ${budget_rc}, not 2"; exit 1; }
   echo "scale gate passed: bench within budget, oracle green, CLI round" \
-       "trip digest ${text_digest} invariant across formats and shard counts."
+       "trip digest ${text_digest} invariant across formats, shard counts" \
+       "and a budget; an infeasible budget rejected."
 }
 
 run_serve() {

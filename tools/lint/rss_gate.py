@@ -3,8 +3,8 @@
 
 The sharded mining engine promises four things the bench record makes
 checkable offline: a mine run's peak RSS stays inside the --memory-budget
-the shard planner was given (the planner sized the shards to make that
-true), the planner's peak estimate is not far above the peak it
+the shard planner was given (the planner rejects a run whose estimated
+working set is above it), the planner's peak estimate is not far above the peak it
 predicts (an estimate several times the real working set would reject
 budgets the run fits in), the sharded result is bit-identical to the
 single-shot miner (the per-record digest matched the shard_count=1
